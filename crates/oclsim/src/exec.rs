@@ -24,7 +24,7 @@ use std::fmt;
 use lift_codegen::clike::{BinOp, CExpr, CStmt, CType, Kernel, UnOp, WorkItemFn};
 use lift_core::scalar::Scalar;
 
-use crate::perf::{KernelStats, SEGMENT_BYTES};
+use crate::perf::{KernelStats, SegmentSet, SEGMENT_BYTES};
 use crate::plan::{BufSlot, EOp, ExprRef, Inst, Plan, Row};
 use crate::runtime::{BufferData, LaunchConfig};
 
@@ -203,6 +203,8 @@ pub(crate) struct Machine<'a> {
     priv_lens: Vec<usize>,
     call_costs: HashMap<String, u64>,
     pub(crate) stats: KernelStats,
+    /// Distinct global segments touched (becomes `unique_segments`).
+    seen: SegmentSet,
     warp: usize,
     cfg: LaunchConfig,
 }
@@ -321,6 +323,7 @@ impl<'a> Machine<'a> {
             priv_lens,
             call_costs,
             stats,
+            seen: SegmentSet::with_segments(base / SEGMENT_BYTES),
             warp,
             cfg,
         })
@@ -344,7 +347,7 @@ impl<'a> Machine<'a> {
                 }
             }
         }
-        self.stats.finalise();
+        self.stats.unique_segments = self.seen.len();
         Ok(())
     }
 
@@ -765,7 +768,7 @@ impl<'a> Machine<'a> {
                         self.stats.store_transactions += segs.len() as u64;
                     }
                     for s in &segs {
-                        self.stats.seen_segments.insert(*s);
+                        self.seen.insert(*s);
                     }
                 }
             }
@@ -994,6 +997,8 @@ pub(crate) struct PlanMachine<'a> {
     args: Vec<Scalar>,
     /// Segment scratch for the coalescing flush.
     segs: Vec<u64>,
+    /// Distinct global segments touched (becomes `unique_segments`).
+    seen: SegmentSet,
 }
 
 impl<'a> PlanMachine<'a> {
@@ -1050,6 +1055,7 @@ impl<'a> PlanMachine<'a> {
             },
             args: Vec::with_capacity(4),
             segs: Vec::with_capacity(warp.max(1)),
+            seen: SegmentSet::with_segments(plan.global_segments),
         }
     }
 
@@ -1093,7 +1099,7 @@ impl<'a> PlanMachine<'a> {
                 }
             }
         }
-        self.stats.finalise();
+        self.stats.unique_segments = self.seen.len();
         Ok(())
     }
 
@@ -2714,7 +2720,7 @@ impl<'a> PlanMachine<'a> {
                         self.stats.store_transactions += self.segs.len() as u64;
                     }
                     for s in &self.segs {
-                        self.stats.seen_segments.insert(*s);
+                        self.seen.insert(*s);
                     }
                 }
             }

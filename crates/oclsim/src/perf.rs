@@ -1,7 +1,5 @@
 //! Event counting and the analytic timing model.
 
-use std::collections::HashSet;
-
 use crate::device::DeviceProfile;
 
 /// Size of one global-memory transaction segment in bytes (one cache line /
@@ -41,8 +39,6 @@ pub struct KernelStats {
     pub wg_size: u64,
     /// Local memory bytes used per group.
     pub local_bytes_per_group: u64,
-    /// Internal: segment dedup set (not part of the public report).
-    pub(crate) seen_segments: HashSet<u64>,
 }
 
 impl KernelStats {
@@ -129,10 +125,57 @@ impl KernelStats {
         out_elements as f64 / self.model_time(dev)
     }
 
-    /// Finalises internal bookkeeping (called once by the executor).
-    pub(crate) fn finalise(&mut self) {
-        self.unique_segments = self.seen_segments.len() as u64;
-        self.seen_segments = HashSet::new();
+    /// Adds `times` copies of `other`'s per-group event counters (the
+    /// launch-shape fields are left alone): the cost model's class replay
+    /// scales one representative group's counts by its class size.
+    pub(crate) fn add_scaled(&mut self, other: &KernelStats, times: u64) {
+        self.global_loads += other.global_loads * times;
+        self.global_stores += other.global_stores * times;
+        self.load_transactions += other.load_transactions * times;
+        self.store_transactions += other.store_transactions * times;
+        self.local_accesses += other.local_accesses * times;
+        self.alu_ops += other.alu_ops * times;
+        self.divergence_ops += other.divergence_ops * times;
+        self.barriers += other.barriers * times;
+    }
+}
+
+/// The distinct 128-byte global segments a launch touched, as a bitmap
+/// over the launch's global address range (the segment-aligned buffers
+/// laid end to end). Shared by the plan executor, the tree interpreter
+/// and the cost model's replay; its [`len`](SegmentSet::len) becomes
+/// [`KernelStats::unique_segments`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SegmentSet {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl SegmentSet {
+    /// An empty set sized for `segments` segments (it grows on demand).
+    pub(crate) fn with_segments(segments: u64) -> Self {
+        SegmentSet {
+            words: vec![0; segments.div_ceil(64) as usize],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn insert(&mut self, seg: u64) {
+        let w = (seg / 64) as usize;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let bit = 1u64 << (seg % 64);
+        if self.words[w] & bit == 0 {
+            self.words[w] |= bit;
+            self.len += 1;
+        }
+    }
+
+    /// Number of distinct segments inserted.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
     }
 }
 
@@ -155,8 +198,19 @@ mod tests {
             work_groups: 4096,
             wg_size: 256,
             local_bytes_per_group: 0,
-            seen_segments: HashSet::new(),
         }
+    }
+
+    #[test]
+    fn segment_set_counts_distinct_segments_and_grows() {
+        let mut set = SegmentSet::with_segments(70);
+        for s in [0, 63, 64, 63, 0, 69] {
+            set.insert(s);
+        }
+        assert_eq!(set.len(), 4);
+        set.insert(1000);
+        set.insert(1000);
+        assert_eq!(set.len(), 5);
     }
 
     #[test]

@@ -195,6 +195,9 @@ pub struct Plan {
     pub(crate) buf_names: Vec<String>,
     /// Segment-aligned virtual base address per global parameter slot.
     pub(crate) global_bases: Vec<u64>,
+    /// 128-byte segments spanned by all global parameters laid end to end
+    /// (the launch's global address range).
+    pub(crate) global_segments: u64,
     /// Rows in the `i64` scalar register arena.
     pub(crate) n_int_rows: usize,
     /// Rows in the tagged-value scalar register arena.
@@ -319,6 +322,7 @@ impl Plan {
             funs: b.funs,
             buf_names: b.buf_names,
             global_bases,
+            global_segments: base / crate::perf::SEGMENT_BYTES,
             n_int_rows: int_rows as usize,
             n_var_rows: var_rows as usize,
             local_f_total,
