@@ -444,10 +444,9 @@ pub struct Kernel {
 /// declares: scalars (including `for`-loop induction variables) and private
 /// arrays, in **pre-order declaration order** over the statement tree.
 ///
-/// This is the stable contract interpreters and plan compilers share: a
-/// variable's slot index depends only on the kernel body, never on who walks
-/// it, so a bytecode plan and the reference tree interpreter resolve
-/// `VarRef`s to the same dense indices.
+/// This is the stable contract for anything that executes a kernel, such
+/// as the simulator's plan compiler: a variable's slot index depends only
+/// on the kernel body, never on who walks it.
 #[derive(Debug, Clone, Default)]
 pub struct SlotMap {
     /// Scalar variables; the vector position is the slot index.

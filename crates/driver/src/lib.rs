@@ -8,7 +8,7 @@
 //! result stays inspectable:
 //!
 //! ```
-//! use lift_driver::{Budget, Pipeline};
+//! use lift_driver::{Pipeline, TuneOptions};
 //! use lift_oclsim::{BufferData, DeviceProfile, VirtualDevice};
 //!
 //! # fn main() -> Result<(), lift_driver::LiftError> {
@@ -16,7 +16,7 @@
 //! let stencil = Pipeline::for_benchmark("Jacobi2D5pt", &[18, 18])? // stage 1: typed program
 //!     .explore()?                          // stage 2: rewrite-derived VariantSet
 //!     .on(&device)                         // stage 3: DeviceSession
-//!     .tune(Budget::evaluations(2))?;      // stage 4: CompiledStencil (winner)
+//!     .tune(TuneOptions::evaluations(2))?; // stage 4: CompiledStencil (winner)
 //! assert!(stencil.source().contains("__kernel"));
 //! let inputs: Vec<BufferData> = lift_stencils::by_name("Jacobi2D5pt")
 //!     .gen_inputs(&[18, 18], 1)
@@ -91,7 +91,7 @@ pub use error::LiftError;
 pub use fault::FAULT_EXIT_CODE;
 pub use lift_rewrite::strategy::{Tunable, Variant};
 pub use pipeline::{
-    Budget, CompiledStencil, DeviceSession, Pipeline, TuneOptions, TuneOutcome, VariantSet,
+    CompiledStencil, DeviceSession, Pipeline, TuneOptions, TuneOutcome, VariantSet,
 };
 pub use tune::{ppcg_baseline, reference_baseline, BenchResult, CostModel, TunedVariant};
 
@@ -109,7 +109,7 @@ mod tests {
             .explore()
             .expect("explores")
             .on(&dev)
-            .tune_full(Budget::evaluations(4).with_seed(1))
+            .tune_full(TuneOptions::evaluations(4).with_seed(1))
             .expect("tunes");
         assert!(outcome.report.winner.time_s > 0.0);
         assert!(
@@ -234,7 +234,7 @@ mod tests {
             .explore()
             .expect("explores")
             .on(&dev)
-            .tune(Budget::evaluations(4).with_seed(3))
+            .tune(TuneOptions::evaluations(4).with_seed(3))
             .expect("a free-standing expression tunes too");
         let input: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).sin()).collect();
         let out = compiled.run(&[input.clone().into()]).expect("runs");
@@ -272,7 +272,7 @@ mod tests {
             .explore()
             .expect("explores")
             .on(&dev)
-            .tune(Budget::evaluations(2))
+            .tune(TuneOptions::evaluations(2))
             .unwrap_err();
         assert!(matches!(err, LiftError::Unsupported(_)), "{err}");
     }
@@ -427,7 +427,7 @@ mod tests {
             .unwrap()
             .on(&dev)
             .with_cache(cache.clone())
-            .tune(Budget::evaluations(8).with_seed(2))
+            .tune(TuneOptions::evaluations(8).with_seed(2))
             .expect("tunes");
         let stats = cache.stats();
         assert!(

@@ -63,10 +63,6 @@ pub struct TuneOptions {
     pub cost_prune: Option<String>,
 }
 
-/// The historical name of [`TuneOptions`] (PR 1 introduced it as the
-/// "budget"); kept as an alias so existing sessions read naturally.
-pub type Budget = TuneOptions;
-
 impl Default for TuneOptions {
     fn default() -> Self {
         TuneOptions {
@@ -466,13 +462,13 @@ impl DeviceSession {
     ///
     /// [`LiftError::NoValidConfiguration`] when nothing compiles, runs and
     /// validates.
-    pub fn tune(self, budget: Budget) -> Result<CompiledStencil, LiftError> {
+    pub fn tune(self, budget: TuneOptions) -> Result<CompiledStencil, LiftError> {
         self.tune_full(budget).map(|o| o.winner)
     }
 
     /// Like [`DeviceSession::tune`], also returning the full per-variant
     /// report (the paper's ablation data).
-    pub fn tune_full(self, budget: Budget) -> Result<TuneOutcome, LiftError> {
+    pub fn tune_full(self, budget: TuneOptions) -> Result<TuneOutcome, LiftError> {
         let out_sizes = self.out_sizes()?;
         let (inputs, golden) = self.inputs_and_golden(budget.seed)?;
         let name = self.program_name();

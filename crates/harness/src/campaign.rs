@@ -1,8 +1,9 @@
 //! The fault-tolerant campaign supervisor: `lift-harness campaign`.
 //!
-//! `--spawn-workers` forks one worker per shard and hopes; a *campaign*
-//! owns its workers. [`run_campaign`] drives a work queue of shards
-//! through `N` worker slots under a supervision loop:
+//! A *campaign* forks the shard workers of a sweep (this binary with
+//! `--shard i/n`), supervises them and merges their partial reports.
+//! [`run_campaign`] drives a work queue of shards through `N` worker slots
+//! under a supervision loop:
 //!
 //! - **Retry with backoff** — a worker that dies (crash, OOM-kill,
 //!   injected fault) has its shard requeued with exponential backoff,
@@ -117,7 +118,8 @@ pub struct CampaignReport {
     pub shards: Vec<ShardStats>,
     /// Campaign wall time in milliseconds.
     pub wall_ms: u128,
-    /// The machine-readable summary document (see [`summary_json`]).
+    /// The machine-readable summary document: per-shard attempts,
+    /// retries, adoptions, timeouts, quarantines and wall time.
     pub summary: String,
 }
 

@@ -3,9 +3,8 @@
 //! Compares two JSON documents produced by this harness — row arrays from
 //! `--json` (fig7, fig8, ablation, `bench <name>`) or the perf command's
 //! `BENCH_sim.json` — and classifies every difference as a **regression**
-//! (throughput or speedup dropped, a row disappeared, perf engines
-//! diverged) or a **note** (configs shifted, prune counts drifted, rows
-//! appeared). The command exits non-zero on any regression, so pinning a
+//! (throughput dropped, a row disappeared, the simulator got slower) or
+//! a **note** (configs shifted, prune counts drifted, rows appeared). The command exits non-zero on any regression, so pinning a
 //! known-good report in CI turns the diff into a gate:
 //!
 //! ```text
@@ -14,6 +13,8 @@
 //! ```
 
 use lift_tuner::json::Value;
+
+use crate::perf::PERF_SCHEMA;
 
 /// Relative slack for throughput comparisons. The simulator is
 /// deterministic, so any honest decrease is a real regression; the slack
@@ -161,32 +162,19 @@ fn compare_rows(a: &[Value], b: &[Value], out: &mut Comparison) {
     }
 }
 
-/// Diffs two `BENCH_sim.json` perf reports: the plan engine must still
-/// byte-match the tree engine, and may not get [`PERF_SLACK`]× slower —
-/// end-to-end or in any microbenchmark.
+/// Diffs two `BENCH_sim.json` perf reports: the simulator may not get
+/// [`PERF_SLACK`]× slower — end-to-end or in any microbenchmark.
 fn compare_perf(a: &Value, b: &Value, out: &mut Comparison) {
-    let sweep = |v: &Value, f: &str| {
+    let sweep = |v: &Value| {
         v.get("fig7_sweep")
-            .and_then(|s| s.get(f))
+            .and_then(|s| s.get("plan_s"))
             .and_then(Value::as_f64)
     };
-    if let (Some(x), Some(y)) = (sweep(a, "speedup"), sweep(b, "speedup")) {
-        let msg = format!("fig7 sweep speedup {x:.2}x -> {y:.2}x");
-        if y < x / PERF_SLACK {
-            out.regressions.push(msg);
-        } else if (y - x).abs() > 0.005 {
-            out.notes.push(msg);
+    if let (Some(x), Some(y)) = (sweep(a), sweep(b)) {
+        if y > x * PERF_SLACK {
+            out.regressions
+                .push(format!("fig7 sweep {x:.3} s -> {y:.3} s"));
         }
-    }
-    let identical = |v: &Value| {
-        matches!(
-            v.get("fig7_sweep").and_then(|s| s.get("byte_identical")),
-            Some(Value::Bool(true))
-        )
-    };
-    if identical(a) && !identical(b) {
-        out.regressions
-            .push("fig7 reports no longer byte-identical across engines".into());
     }
     let micro = |v: &Value| -> Vec<(String, f64)> {
         v.get("microbench")
@@ -235,13 +223,23 @@ pub fn compare_docs(
     match (&a, &b) {
         (Value::Arr(ra), Value::Arr(rb)) => compare_rows(ra, rb, &mut out),
         (Value::Obj(_), Value::Obj(_)) => {
-            let is_perf =
-                |v: &Value| v.get("schema").and_then(Value::as_str) == Some("lift-sim-perf/1");
-            if !is_perf(&a) || !is_perf(&b) {
-                return Err(format!(
-                    "{a_origin} / {b_origin}: only row arrays (--json experiments) and \
-                     BENCH_sim.json perf reports can be compared"
-                ));
+            for (origin, v) in [(a_origin, &a), (b_origin, &b)] {
+                match v.get("schema").and_then(Value::as_str) {
+                    Some(PERF_SCHEMA) => {}
+                    Some(old @ "lift-sim-perf/1") => {
+                        return Err(format!(
+                            "{origin}: a {old} perf report, which timed the retired tree \
+                             interpreter; regenerate it with `lift-harness perf` \
+                             ({PERF_SCHEMA})"
+                        ))
+                    }
+                    _ => {
+                        return Err(format!(
+                            "{a_origin} / {b_origin}: only row arrays (--json experiments) \
+                             and BENCH_sim.json perf reports can be compared"
+                        ))
+                    }
+                }
             }
             compare_perf(&a, &b, &mut out);
         }
@@ -318,16 +316,24 @@ mod tests {
 
     #[test]
     fn perf_reports_compare_and_shapes_must_match() {
-        let perf = |speedup: f64, identical: bool, plan_ms: f64| {
+        let perf = |schema: &str, plan_s: f64, plan_ms: f64| {
             format!(
-                r#"{{"schema": "lift-sim-perf/1", "fig7_sweep": {{"budget": 10, "threads": 1, "tree_s": 10.0, "plan_s": 2.0, "speedup": {speedup}, "byte_identical": {identical}}}, "microbench": [{{"name": "Heat/global", "tree_ms": 8.0, "plan_ms": {plan_ms}, "speedup": 4.0, "plan_compile_us": 100.0}}]}}"#
+                r#"{{"schema": "{schema}", "fig7_sweep": {{"budget": 10, "threads": 1, "plan_s": {plan_s}}}, "microbench": [{{"name": "Heat/global", "plan_ms": {plan_ms}, "plan_compile_us": 100.0}}]}}"#
             )
         };
-        let a = perf(5.0, true, 2.0);
-        let ok = compare_docs("a", &a, "b", &perf(5.1, true, 2.1)).expect("parses");
+        let a = perf(PERF_SCHEMA, 2.0, 2.0);
+        let ok = compare_docs("a", &a, "b", &perf(PERF_SCHEMA, 2.4, 2.1)).expect("parses");
         assert!(!ok.regressed(), "{ok:?}");
-        let bad = compare_docs("a", &a, "b", &perf(2.0, false, 9.0)).expect("parses");
-        assert_eq!(bad.regressions.len(), 3, "{bad:?}");
+        let bad = compare_docs("a", &a, "b", &perf(PERF_SCHEMA, 9.0, 9.0)).expect("parses");
+        assert_eq!(bad.regressions.len(), 2, "{bad:?}");
+
+        let old = perf("lift-sim-perf/1", 2.0, 2.0);
+        let err = compare_docs("old", &old, "b", &a).expect_err("schema /1 refused");
+        assert!(err.contains("old: a lift-sim-perf/1 perf report"), "{err}");
+        assert!(
+            err.contains("regenerate it with `lift-harness perf`"),
+            "{err}"
+        );
 
         let err = compare_docs("a", &a, "b", FIG7_A).expect_err("shape mismatch");
         assert!(err.contains("different document shapes"), "{err}");

@@ -16,7 +16,7 @@
 //! merge` — is byte-identical to the single-process sweep.
 
 use lift_driver::{
-    ppcg_baseline, reference_baseline, Budget, KernelCache, LiftError, Pipeline, Variant,
+    ppcg_baseline, reference_baseline, KernelCache, LiftError, Pipeline, TuneOptions, Variant,
 };
 use lift_oclsim::{DeviceProfile, FindingKind, VirtualDevice};
 use lift_stencils::{by_name, fig7_names, fig8_names, suite, Benchmark};
@@ -24,8 +24,8 @@ use lift_tuner::parallel_map;
 
 use crate::{seed, threads, tune_budget};
 
-fn budget() -> Budget {
-    Budget::evaluations(tune_budget()).with_seed(seed())
+fn budget() -> TuneOptions {
+    TuneOptions::evaluations(tune_budget()).with_seed(seed())
 }
 
 /// One shard of a sweep: `(index, count)`. Grid cell `c` (in the sweep's

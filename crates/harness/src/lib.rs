@@ -23,8 +23,9 @@
 //! Sweeps also shard across *processes*: `--shard i/n` runs the cells
 //! with `index % n == i` and prints a partial report, `lift-harness merge
 //! <parts…>` recombines a complete set byte-identically to the
-//! single-process `--json` document, and `--spawn-workers n` does both in
-//! one command. See [`experiments::Shard`] and [`report::merge_parts`].
+//! single-process `--json` document, and `campaign <experiment> --workers
+//! n` does both in one supervised command. See [`experiments::Shard`],
+//! [`report::merge_parts`] and [`campaign`].
 
 #![forbid(unsafe_code)]
 

@@ -23,8 +23,8 @@
 //! lift-harness --checkpoint ck.json fig7         # resumable (kill + rerun)
 //! lift-harness --json --shard 0/3 fig7 > p0.json # one worker's share
 //! lift-harness merge p0.json p1.json p2.json     # == single-process --json
-//! lift-harness --json --spawn-workers 3 fig7     # shard + merge in one go
-//! lift-harness campaign fig7 --workers 3         # supervised: retry, timeout,
+//! lift-harness campaign fig7 --workers 3         # shard + merge in one go,
+//!                                                # supervised: retry, timeout,
 //!                                                # checkpoint adoption
 //! ```
 //!
@@ -38,7 +38,7 @@
 //! from the file and prints exactly what the uninterrupted run would
 //! have. None of the three ever changes results — only wall-clock.
 //!
-//! `campaign` is the fault-tolerant big sibling of `--spawn-workers`: a
+//! `campaign` forks the shard workers itself and merges their reports: a
 //! supervision loop drives the shard queue through worker slots with
 //! liveness timeouts, bounded retries with backoff, and checkpoint
 //! adoption — a replacement worker resumes its dead predecessor's
@@ -48,8 +48,8 @@
 //! Exit codes: 0 on success, 1 when an experiment fails (e.g. no valid
 //! configuration for a benchmark — a broken compiler must fail CI) or a
 //! `compare` finds a regression, 2 for usage errors, 3 when
-//! infrastructure fails (a shard worker dies or a campaign shard exhausts
-//! its retries — the experiment itself may be fine, rerun or adopt).
+//! infrastructure fails (a campaign shard exhausts its retries — the
+//! experiment itself may be fine, rerun or adopt).
 
 #![forbid(unsafe_code)]
 
@@ -80,7 +80,7 @@ USAGE:
                                      merged report byte-identical to a
                                      fault-free single-process run)
     lift-harness perf [--json]      (writes BENCH_sim.json: fig7 sweep wall
-                                     time under both simulator engines +
+                                     time on one thread +
                                      per-kernel launch microbenchmarks)
     lift-harness verify [--json]    (static bounds/race/divergence/init
                                      verification of every benchmark x
@@ -112,8 +112,6 @@ FLAGS:
     --shard <i/n>         run only grid cells with index % n == i and print
                           a partial JSON report (fig7/fig8/ablation/bench;
                           implies --json)
-    --spawn-workers <N>   fork N shard worker processes and merge their
-                          partial reports (requires --json)
     --list-benchmarks     list benchmark names, ranks and domain sizes
     -h, --help            this help
 
@@ -139,9 +137,8 @@ EXIT CODES:
     1   experiment failure (no valid configuration, verifier finding,
         model gate) or a `compare` regression
     2   command-line misuse
-    3   infrastructure failure: a shard worker died, or a campaign shard
-        exhausted its retries (partial report + missing-cell manifest
-        were still emitted)
+    3   infrastructure failure: a campaign shard exhausted its retries
+        (partial report + missing-cell manifest were still emitted)
 
 Sharding, checkpointing, threading and campaign supervision never change
 results: any combination — including workers killed and resumed through
@@ -166,8 +163,8 @@ ENVIRONMENT:
                           exit with code 86.
 ";
 
-/// Exit code for infrastructure failures (dead shard workers, campaign
-/// shards out of retries) — distinct from experiment failures (1) and
+/// Exit code for infrastructure failures (campaign shards out of
+/// retries) — distinct from experiment failures (1) and
 /// CLI misuse (2) so CI can retry infra without masking regressions.
 const EXIT_INFRA: i32 = 3;
 
@@ -237,67 +234,6 @@ fn run_shard(
     Ok(())
 }
 
-/// Forks `n` shard workers (this binary with `--shard i/n`), collects
-/// their partial reports and prints the merged document. The workers
-/// inherit this process's environment; when checkpointing is on each one
-/// derives its own `<path>.shard<i>of<n>` file from the inherited
-/// `LIFT_CHECKPOINT` (shard mode always does, see `main`) — checkpoint
-/// files must never be shared across processes.
-fn spawn_workers(n: usize, cmd: &str, bench_name: Option<&str>, large: bool) -> Result<(), String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
-    let mut children = Vec::new();
-    for i in 0..n {
-        let mut c = std::process::Command::new(&exe);
-        c.arg("--json").arg("--shard").arg(format!("{i}/{n}"));
-        c.arg(cmd);
-        if let Some(name) = bench_name {
-            c.arg(name);
-        }
-        if large {
-            c.arg("--large");
-        }
-        c.stdout(std::process::Stdio::piped());
-        c.stderr(std::process::Stdio::piped());
-        match c.spawn() {
-            Ok(child) => children.push((i, child)),
-            Err(e) => {
-                // Kill and reap the workers already launched: a failed
-                // spawn must not leave orphans 0..i tuning into the void.
-                for (_, mut orphan) in children {
-                    let _ = orphan.kill();
-                    let _ = orphan.wait();
-                }
-                return Err(format!("cannot spawn shard {i}/{n}: {e}"));
-            }
-        }
-    }
-    let mut parts = Vec::new();
-    let mut failed = false;
-    for (i, child) in children {
-        let out = child
-            .wait_with_output()
-            .map_err(|e| format!("shard {i}/{n} did not finish: {e}"))?;
-        // Relay the worker's stderr under an attributable prefix rather
-        // than letting n workers interleave raw on the shared stream.
-        for line in String::from_utf8_lossy(&out.stderr).lines() {
-            eprintln!("lift-harness: shard {i}/{n}: {line}");
-        }
-        if !out.status.success() {
-            eprintln!("lift-harness: shard worker {i}/{n} failed ({})", out.status);
-            failed = true;
-            continue;
-        }
-        let text = String::from_utf8(out.stdout)
-            .map_err(|e| format!("shard {i}/{n} wrote non-UTF-8 output: {e}"))?;
-        parts.push((format!("shard {i}/{n}"), text));
-    }
-    if failed {
-        return Err("one or more shard workers failed".into());
-    }
-    print!("{}", merge_parts(&parts)?);
-    Ok(())
-}
-
 /// Parses `campaign` arguments, runs the supervised sweep, and exits:
 /// 0 when every shard completed (stdout carries the merged document,
 /// byte-identical to the single-process `--json` run), [`EXIT_INFRA`]
@@ -314,10 +250,10 @@ fn run_campaign_cmd(
     retries: Option<&str>,
     summary: Option<&str>,
     faults: &[String],
-    conflicting_mode: bool,
+    sharded: bool,
 ) -> ! {
-    if conflicting_mode {
-        usage_error("campaign supervises its own workers; drop --shard/--spawn-workers");
+    if sharded {
+        usage_error("campaign supervises its own workers; drop --shard");
     }
     let Some(experiment) = args.first() else {
         usage_error("campaign needs an experiment: campaign <fig7|fig8|ablation|bench <name>>");
@@ -517,7 +453,6 @@ fn main() {
     let mut threads_flag: Option<String> = None;
     let mut checkpoint_flag: Option<String> = None;
     let mut shard_flag: Option<String> = None;
-    let mut workers_flag: Option<String> = None;
     let mut campaign_workers_flag: Option<String> = None;
     let mut shards_flag: Option<String> = None;
     let mut timeout_flag: Option<String> = None;
@@ -526,11 +461,10 @@ fn main() {
     let mut fault_flags: Vec<String> = Vec::new();
     let mut expect_value: Option<&'static str> = None;
     let mut positional: Vec<String> = Vec::new();
-    const VALUE_FLAGS: [&str; 10] = [
+    const VALUE_FLAGS: [&str; 9] = [
         "--threads",
         "--checkpoint",
         "--shard",
-        "--spawn-workers",
         "--workers",
         "--shards",
         "--timeout",
@@ -544,7 +478,6 @@ fn main() {
                 "--threads" => threads_flag = Some(arg),
                 "--checkpoint" => checkpoint_flag = Some(arg),
                 "--shard" => shard_flag = Some(arg),
-                "--spawn-workers" => workers_flag = Some(arg),
                 "--workers" => campaign_workers_flag = Some(arg),
                 "--shards" => shards_flag = Some(arg),
                 "--timeout" => timeout_flag = Some(arg),
@@ -559,6 +492,10 @@ fn main() {
             "--json" => json = true,
             "--large" => large = true,
             "--list-benchmarks" => list = true,
+            "--spawn-workers" => usage_error(
+                "--spawn-workers was removed; use `campaign <experiment> --workers N` \
+                 (same merged document, plus timeouts, retries and checkpoint adoption)",
+            ),
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return;
@@ -623,7 +560,7 @@ fn main() {
         // concurrent shard workers pointed at one path would clobber each
         // other's entries. Shard mode therefore always derives its own
         // `<path>.shard<i>of<n>` — whether the base path came from
-        // `--checkpoint`, the environment, or a `--spawn-workers` parent.
+        // `--checkpoint`, the environment, or a campaign supervisor.
         if let Ok(base) = std::env::var("LIFT_CHECKPOINT") {
             if !base.is_empty() {
                 std::env::set_var("LIFT_CHECKPOINT", format!("{base}.shard{i}of{n}"));
@@ -646,7 +583,7 @@ fn main() {
             retries_flag.as_deref(),
             summary_flag.as_deref(),
             &fault_flags,
-            shard.is_some() || workers_flag.is_some(),
+            shard.is_some(),
         );
     }
     if campaign_workers_flag.is_some()
@@ -800,31 +737,6 @@ fn main() {
     }
 
     let shardable = matches!(cmd.as_str(), "fig7" | "fig8" | "ablation" | "bench");
-    if let Some(n) = workers_flag {
-        let Ok(n) = n.parse::<usize>() else {
-            usage_error("--spawn-workers needs a positive integer");
-        };
-        if n == 0 {
-            usage_error("--spawn-workers needs a positive integer, got `0`");
-        }
-        if shard.is_some() {
-            usage_error("--spawn-workers and --shard are mutually exclusive");
-        }
-        if !shardable {
-            usage_error("--spawn-workers applies to fig7|fig8|ablation|bench <name>");
-        }
-        if !json {
-            usage_error("--spawn-workers is JSON-only; add --json");
-        }
-        if let Err(e) = spawn_workers(n, &cmd, bench_name.as_deref(), large) {
-            eprintln!("lift-harness: {e}");
-            // Dead or unmergeable workers are an infrastructure failure,
-            // not an experiment failure: the sweep itself may be fine.
-            std::process::exit(EXIT_INFRA);
-        }
-        return;
-    }
-
     let result = if let Some(shard) = shard {
         if !shardable {
             usage_error("--shard applies to fig7|fig8|ablation|bench <name>");

@@ -6,7 +6,7 @@
 //! 1. **Accuracy** — every Table-1 benchmark × device × variant under the
 //!    same representative configurations the `verify` sweep gates. Each
 //!    kernel is *predicted* with the static cost model
-//!    ([`CompiledStencil::estimate`], which never executes a lane) and
+//!    ([`lift_driver::CompiledStencil::estimate`], which never executes a lane) and
 //!    then *simulated*; the per-cell Spearman rank correlation between
 //!    the two time series says how well the model orders configurations.
 //!    Because every Table-1 kernel is launch-determined, the estimates
@@ -24,7 +24,7 @@
 //! below [`SPEARMAN_GATE`] or any tuning cell's winners diverge — the CI
 //! `model-accuracy` job is just this command.
 
-use lift_driver::{Budget, LiftError, Pipeline};
+use lift_driver::{LiftError, Pipeline, TuneOptions};
 use lift_oclsim::{BufferData, DeviceProfile, VirtualDevice};
 use lift_stencils::suite;
 use lift_tuner::parallel_map;
@@ -232,7 +232,7 @@ fn tuning_cells(thread_budget: usize) -> Result<Vec<TuneCell>, LiftError> {
                     .explore()?
                     .on(&dev)
                     .tune_full(
-                        Budget::evaluations(tune_budget())
+                        TuneOptions::evaluations(tune_budget())
                             .with_seed(seed())
                             .with_threads(inner)
                             .with_cost_prune(setting),

@@ -1,21 +1,22 @@
 //! Simulator performance tracking: the `lift-harness perf` command.
 //!
-//! Times the Figure-7 sweep end-to-end under both simulator engines (the
-//! bytecode plan and the tree-walking reference interpreter), byte-diffs
-//! their JSON reports, and collects per-kernel launch microbenchmarks plus
-//! plan-compilation cost. The result is written to `BENCH_sim.json` so CI
-//! can track the simulator's throughput — the tuner's hot path — across
-//! commits, and can gate on the plan engine's speedup over the pre-plan
-//! interpreter.
+//! Times the Figure-7 sweep end-to-end on one thread and collects
+//! per-kernel launch microbenchmarks plus plan-compilation cost. The
+//! result is written to `BENCH_sim.json` so CI can track the simulator's
+//! throughput — the tuner's hot path — across commits with
+//! `lift-harness compare`.
 
 use std::time::Instant;
 
 use lift_driver::{CompiledStencil, Pipeline};
-use lift_oclsim::{BufferData, DeviceProfile, Plan, SimEngine, VirtualDevice};
+use lift_oclsim::{BufferData, DeviceProfile, Plan, VirtualDevice};
 use lift_stencils::by_name;
 
-use crate::report::{json_fig7, json_str};
+use crate::report::json_str;
 use crate::{fig7_with, tune_budget, LiftError};
+
+/// The `BENCH_sim.json` schema tag this module writes and `compare` reads.
+pub(crate) const PERF_SCHEMA: &str = "lift-sim-perf/2";
 
 /// One microbenchmark measurement.
 pub struct MicroBench {
@@ -23,8 +24,7 @@ pub struct MicroBench {
     pub name: String,
     /// Output elements per launch (for throughput derivation).
     pub elems: usize,
-    /// Mean launch wall-time per engine, in milliseconds.
-    pub tree_ms: f64,
+    /// Mean launch wall-time of the planned kernel, in milliseconds.
     pub plan_ms: f64,
     /// One-time plan compilation cost in microseconds.
     pub plan_compile_us: f64,
@@ -32,12 +32,8 @@ pub struct MicroBench {
 
 /// The `perf` command's full result.
 pub struct PerfReport {
-    /// Figure-7 sweep wall time (seconds) under each engine, same budget,
-    /// same thread count.
-    pub fig7_tree_s: f64,
+    /// Figure-7 sweep wall time in seconds, on one thread.
     pub fig7_plan_s: f64,
-    /// Whether the two engines' fig7 JSON documents were byte-identical.
-    pub fig7_identical: bool,
     /// Tuner evaluations per variant used for the sweep.
     pub budget: usize,
     /// Per-kernel launch microbenchmarks.
@@ -45,12 +41,6 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// End-to-end sweep speedup of the plan engine over the tree
-    /// interpreter (the pre-plan execution path).
-    pub fn sweep_speedup(&self) -> f64 {
-        self.fig7_tree_s / self.fig7_plan_s
-    }
-
     /// The `BENCH_sim.json` document.
     pub fn to_json(&self) -> String {
         let micro: Vec<String> = self
@@ -58,59 +48,36 @@ impl PerfReport {
             .iter()
             .map(|m| {
                 format!(
-                    "    {{\"name\": {}, \"tree_ms\": {:.4}, \"plan_ms\": {:.4}, \
-                     \"speedup\": {:.2}, \"plan_compile_us\": {:.2}}}",
+                    "    {{\"name\": {}, \"plan_ms\": {:.4}, \"plan_compile_us\": {:.2}}}",
                     json_str(&m.name),
-                    m.tree_ms,
                     m.plan_ms,
-                    m.tree_ms / m.plan_ms,
                     m.plan_compile_us
                 )
             })
             .collect();
         format!(
             "{{\n\
-             \"schema\": \"lift-sim-perf/1\",\n\
-             \"fig7_sweep\": {{\"budget\": {}, \"threads\": 1, \
-             \"tree_s\": {:.3}, \"plan_s\": {:.3}, \"speedup\": {:.2}, \
-             \"byte_identical\": {}}},\n\
+             \"schema\": \"{PERF_SCHEMA}\",\n\
+             \"fig7_sweep\": {{\"budget\": {}, \"threads\": 1, \"plan_s\": {:.3}}},\n\
              \"microbench\": [\n{}\n  ]\n\
              }}\n",
             self.budget,
-            self.fig7_tree_s,
             self.fig7_plan_s,
-            self.sweep_speedup(),
-            self.fig7_identical,
             micro.join(",\n")
         )
     }
 
     /// A human-readable summary.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "fig7 sweep (budget {}, 1 thread): plan {:.2}s, tree (pre-plan \
-             interpreter) {:.2}s — {:.1}x, reports {}\n\n",
-            self.budget,
-            self.fig7_plan_s,
-            self.fig7_tree_s,
-            self.sweep_speedup(),
-            if self.fig7_identical {
-                "byte-identical"
-            } else {
-                "DIVERGED"
-            }
-        ));
+        let mut out = format!(
+            "fig7 sweep (budget {}, 1 thread): {:.2}s\n\n",
+            self.budget, self.fig7_plan_s
+        );
         out.push_str("per-launch microbenchmarks (K20c profile):\n");
         for m in &self.micro {
             out.push_str(&format!(
-                "  {:28} tree {:8.3} ms   plan {:8.3} ms   ({:4.1}x, \
-                 plan-compile {:6.1} us)\n",
-                m.name,
-                m.tree_ms,
-                m.plan_ms,
-                m.tree_ms / m.plan_ms,
-                m.plan_compile_us
+                "  {:28} {:8.3} ms   (plan-compile {:6.1} us)\n",
+                m.name, m.plan_ms, m.plan_compile_us
             ));
         }
         out
@@ -137,53 +104,23 @@ fn compile_case(
     Ok((compiled, inputs))
 }
 
-/// Best-of-batches mean launch time in milliseconds under `engine`
-/// (shared by the `perf` command and the `cargo bench` simulator target).
-pub fn time_launch(
-    dev: &VirtualDevice,
+/// Best-of-batches mean launch time of an already-planned kernel, in
+/// milliseconds (the tuner's hot path; plan compilation is timed apart).
+fn time_launch(
     compiled: &CompiledStencil,
     inputs: &[BufferData],
-    engine: SimEngine,
     reps: usize,
 ) -> Result<f64, LiftError> {
-    dev.run_with_engine(compiled.kernel(), inputs, compiled.launch(), engine)?;
+    compiled.run(inputs)?;
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(dev.run_with_engine(
-                compiled.kernel(),
-                std::hint::black_box(inputs),
-                compiled.launch(),
-                engine,
-            )?);
+            std::hint::black_box(compiled.run(std::hint::black_box(inputs))?);
         }
         best = best.min(t.elapsed().as_secs_f64() / reps as f64);
     }
     Ok(best * 1e3)
-}
-
-/// Restores (or clears) `LIFT_SIM_ENGINE` when dropped, so an error
-/// mid-sweep can never leave the process pinned to the wrong engine.
-struct EngineEnvGuard {
-    prior: Option<String>,
-}
-
-impl EngineEnvGuard {
-    fn set(value: &str) -> Self {
-        let prior = std::env::var("LIFT_SIM_ENGINE").ok();
-        std::env::set_var("LIFT_SIM_ENGINE", value);
-        EngineEnvGuard { prior }
-    }
-}
-
-impl Drop for EngineEnvGuard {
-    fn drop(&mut self) {
-        match self.prior.take() {
-            Some(v) => std::env::set_var("LIFT_SIM_ENGINE", v),
-            None => std::env::remove_var("LIFT_SIM_ENGINE"),
-        }
-    }
 }
 
 /// The per-kernel launch microbenchmarks, shared with the `cargo bench`
@@ -226,8 +163,7 @@ pub fn microbenches() -> Result<Vec<MicroBench>, LiftError> {
     let mut micro = Vec::new();
     for (name, sizes, variant, cfg) in cases {
         let (compiled, inputs) = compile_case(&dev, name, &sizes, variant, &cfg)?;
-        let tree_ms = time_launch(&dev, &compiled, &inputs, SimEngine::Tree, 5)?;
-        let plan_ms = time_launch(&dev, &compiled, &inputs, SimEngine::Plan, 20)?;
+        let plan_ms = time_launch(&compiled, &inputs, 20)?;
         let t = Instant::now();
         let reps = 200;
         for _ in 0..reps {
@@ -239,7 +175,6 @@ pub fn microbenches() -> Result<Vec<MicroBench>, LiftError> {
         micro.push(MicroBench {
             name: format!("{name}/{variant}"),
             elems: sizes.iter().product(),
-            tree_ms,
             plan_ms,
             plan_compile_us,
         });
@@ -247,40 +182,17 @@ pub fn microbenches() -> Result<Vec<MicroBench>, LiftError> {
     Ok(micro)
 }
 
-/// Runs the sweep timings and microbenchmarks (see the module docs).
-///
-/// The engine is selected through the same `LIFT_SIM_ENGINE` switch the
-/// rest of the stack honours, so the sweep numbers measure exactly what a
-/// tuning campaign would pay. The variable is restored on every exit path
-/// (including errors).
+/// Runs the sweep timing and microbenchmarks (see the module docs).
 ///
 /// # Errors
 ///
-/// Any [`LiftError`] from the sweeps or microbenchmark compilations.
+/// Any [`LiftError`] from the sweep or microbenchmark compilations.
 pub fn perf_report() -> Result<PerfReport, LiftError> {
-    let budget = tune_budget();
-
-    // Plan first: the tree run then inherits a warm kernel cache, which
-    // only makes the reported speedup conservative.
-    let (plan_rows, fig7_plan_s) = {
-        let _guard = EngineEnvGuard::set("plan");
-        let t = Instant::now();
-        let rows = fig7_with(1)?;
-        (rows, t.elapsed().as_secs_f64())
-    };
-    let (tree_rows, fig7_tree_s) = {
-        let _guard = EngineEnvGuard::set("tree");
-        let t = Instant::now();
-        let rows = fig7_with(1)?;
-        (rows, t.elapsed().as_secs_f64())
-    };
-    let fig7_identical = json_fig7(&plan_rows) == json_fig7(&tree_rows);
-
+    let t = Instant::now();
+    fig7_with(1)?;
     Ok(PerfReport {
-        fig7_tree_s,
-        fig7_plan_s,
-        fig7_identical,
-        budget,
+        fig7_plan_s: t.elapsed().as_secs_f64(),
+        budget: tune_budget(),
         micro: microbenches()?,
     })
 }

@@ -261,6 +261,7 @@ fn campaign_cli_misuse_fails_loudly() {
         (&["campaign", "fig7", "--fault", "9:stall"], 2), // shard out of range
         (&["campaign", "fig7", "--fault", "stall"], 2),   // no shard prefix
         (&["campaign", "fig7", "--shard", "0/2"], 2),     // conflicting mode
+        // A removed flag (`campaign --workers` replaced it) is misuse.
         (&["campaign", "fig7", "--spawn-workers", "2"], 2),
         (&["campaign", "fig7", "--large"], 2), // --large without bench
         (&["--workers", "2", "fig7"], 2),      // campaign flag without campaign

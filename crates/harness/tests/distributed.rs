@@ -55,38 +55,10 @@ fn shards_merge_byte_identically_to_the_single_process_run() {
 }
 
 #[test]
-fn spawn_workers_matches_the_single_process_run() {
+fn campaign_workers_match_the_single_process_run() {
     let reference = stdout_of(bin().args(["--json", "bench", BENCH]));
-    let spawned = stdout_of(bin().args(["--json", "--spawn-workers", "3", "bench", BENCH]));
-    assert_eq!(spawned, reference, "--spawn-workers 3 != single run");
-}
-
-#[test]
-fn spawn_workers_failure_is_an_infra_exit_with_attributable_stderr() {
-    // Every worker inherits the injected fault and dies; the parent must
-    // report the infrastructure exit code (3, distinct from experiment
-    // failures) and relay each worker's stderr under a `shard i/n:`
-    // prefix so the diagnosis stays attributable.
-    let out = bin()
-        .args(["--json", "--spawn-workers", "2", "bench", BENCH])
-        .env("LIFT_FAULT", "exit-after:0")
-        .output()
-        .expect("binary runs");
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "stderr:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("shard 0/2:"),
-        "attributed worker stderr:\n{err}"
-    );
-    assert!(
-        err.contains("shard 1/2:"),
-        "attributed worker stderr:\n{err}"
-    );
+    let merged = stdout_of(bin().args(["campaign", "bench", BENCH, "--workers", "3"]));
+    assert_eq!(merged, reference, "campaign --workers 3 != single run");
 }
 
 #[test]
@@ -129,7 +101,7 @@ fn shard_mode_derives_its_own_checkpoint_path() {
     // Checkpoint managers rewrite their whole file from process-local
     // state, so concurrent shard workers must never share one path: shard
     // mode derives `<path>.shard<i>of<n>` whether the base path came from
-    // the flag, the environment, or a --spawn-workers parent.
+    // the flag, the environment, or a campaign supervisor.
     let dir = tmp_dir("shard-ck");
     let base = dir.join("ck.json");
     let base_str = base.display().to_string();
@@ -180,12 +152,7 @@ fn cli_misuse_fails_loudly() {
         (&["--shard", "3/2", "--json", "fig7"], 2), // i >= n
         (&["--shard", "zero/2", "--json", "fig7"], 2),
         (&["--shard", "0/2", "--json", "table1"], 2), // not shardable
-        (&["--spawn-workers", "2", "table1", "--json"], 2),
-        (
-            &["--spawn-workers", "2", "--shard", "0/2", "--json", "fig7"],
-            2,
-        ),
-        (&["merge"], 2), // no files
+        (&["merge"], 2),                              // no files
         (&["merge", "/no/such/file.json"], 1),
         (&["--checkpoint"], 2), // missing value
     ];
@@ -202,15 +169,19 @@ fn cli_misuse_fails_loudly() {
             "args {args:?} must explain the failure"
         );
     }
+    // The removed coordinator flag is misuse that names its replacement.
+    let out = bin()
+        .args(["--json", "--spawn-workers", "3", "fig7"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("campaign <experiment> --workers N"),
+        "the removed flag names its replacement"
+    );
     // --help succeeds and documents the new surfaces.
     let help = stdout_of(bin().arg("--help"));
-    for needle in [
-        "--shard",
-        "--checkpoint",
-        "--spawn-workers",
-        "merge",
-        "--list-benchmarks",
-    ] {
+    for needle in ["--shard", "--checkpoint", "merge", "--list-benchmarks"] {
         assert!(help.contains(needle), "--help misses {needle}");
     }
 }

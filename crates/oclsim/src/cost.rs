@@ -84,7 +84,7 @@ use lift_arith::range::Interval;
 use lift_codegen::clike::{BinOp, CType, UnOp, WorkItemFn};
 
 use crate::device::DeviceProfile;
-use crate::exec::{simd_charge, SimError};
+use crate::exec::{simd_charge, Access, Coalescer, SimError};
 use crate::perf::{KernelStats, SegmentSet, SEGMENT_BYTES};
 use crate::plan::{BufSlot, EOp, ExprRef, Inst, Plan, Row};
 use crate::runtime::LaunchConfig;
@@ -151,6 +151,26 @@ type Sl = [i64; 3];
 
 /// The slope of a value that is the same in every group.
 const FLAT: Sl = [0; 3];
+
+/// The replay queues each global access with the slope of its element
+/// index; a batch summary is its first lane's slope plus, per axis,
+/// whether any lane's slope differs from it.
+impl Access for (u64, Sl) {
+    type Batch = Option<(Sl, Sl)>;
+
+    #[inline]
+    fn addr(self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn note(self, batch: &mut Option<(Sl, Sl)>) {
+        let (first, mixed) = batch.get_or_insert((self.1, FLAT));
+        for d in 0..3 {
+            mixed[d] |= (first[d] != self.1[d]) as i64;
+        }
+    }
+}
 
 /// The replay value domain: concrete integers (with their slope across
 /// the class) and booleans (index math), a unit float (data whose value is
@@ -528,14 +548,11 @@ struct CostMachine<'a> {
     locals_v: Vec<Lv>,
     privs_v: Vec<Lv>,
     /// Pending global accesses per lane: address and index slope.
-    pend_loads: Vec<Vec<(u64, Sl)>>,
-    pend_stores: Vec<Vec<(u64, Sl)>>,
-    any_pend: bool,
+    coal: Coalescer<(u64, Sl)>,
     masks: Vec<Vec<bool>>,
     mask_any: Vec<bool>,
     mask_stack: Vec<u16>,
     uni_mask: Vec<bool>,
-    segs: Vec<u64>,
     /// Slab pool for the op-major evaluator.
     pool: Vec<Vec<Lv>>,
     exact: bool,
@@ -589,9 +606,7 @@ impl<'a> CostMachine<'a> {
             vvals: vec![Lv::I(0, FLAT); plan.n_var_rows * n_items],
             locals_v: vec![Lv::F; plan.local_v_total],
             privs_v: vec![Lv::F; plan.priv_v_total * n_items],
-            pend_loads: vec![Vec::new(); n_items],
-            pend_stores: vec![Vec::new(); n_items],
-            any_pend: false,
+            coal: Coalescer::new(n_items, warp),
             masks: (0..n_masks).map(|i| vec![i == 0; n_items]).collect(),
             mask_any: vec![false; n_masks],
             mask_stack: Vec::with_capacity(n_masks),
@@ -600,7 +615,6 @@ impl<'a> CostMachine<'a> {
                 m[0] = true;
                 m
             },
-            segs: Vec::with_capacity(warp.max(1)),
             pool: Vec::new(),
             exact: true,
             synthetic_segments: 0,
@@ -623,10 +637,7 @@ impl<'a> CostMachine<'a> {
             self.seen = SegmentSet::with_segments(self.plan.global_segments);
             self.exact = true;
             self.synthetic_segments = 0;
-            for p in self.pend_loads.iter_mut().chain(&mut self.pend_stores) {
-                p.clear();
-            }
-            self.any_pend = false;
+            self.coal.clear();
             self.replay_every_group()?;
         }
         self.stats.unique_segments = self.seen.len() + self.synthetic_segments;
@@ -1079,7 +1090,7 @@ impl<'a> CostMachine<'a> {
                             }
                             let s = slope_of(lane);
                             self.class.keep_in(index, s, len);
-                            self.pend_stores[i].push((base + index as u64 * 4, s));
+                            self.coal.store(i, (base + index as u64 * 4, s));
                         }
                         None => {
                             // Worst case: the store coalesces with nothing
@@ -1092,9 +1103,6 @@ impl<'a> CostMachine<'a> {
                     stores += 1;
                 }
                 self.stats.global_stores += stores;
-                if stores > 0 {
-                    self.any_pend = true;
-                }
                 Ok(())
             }
             BufSlot::LocalF { off: _, len, name } | BufSlot::PrivF { off: _, len, name } => {
@@ -1820,7 +1828,7 @@ impl<'a> CostMachine<'a> {
                             }
                             let s = slope_of(idx[i]);
                             self.class.keep_in(index, s, len);
-                            self.pend_loads[i].push((base + index as u64 * 4, s));
+                            self.coal.load(i, (base + index as u64 * 4, s));
                         }
                         None => {
                             self.stats.load_transactions += 1;
@@ -1832,9 +1840,6 @@ impl<'a> CostMachine<'a> {
                     count += 1;
                 }
                 self.stats.global_loads += count;
-                if count > 0 {
-                    self.any_pend = true;
-                }
             }
             BufSlot::LocalF { off: _, len, name }
             | BufSlot::PrivF { off: _, len, name }
@@ -1889,76 +1894,26 @@ impl<'a> CostMachine<'a> {
         }
     }
 
-    /// The per-warp 128-byte coalescing flush, identical to the executor's.
-    /// While the class is active, each batch's lanes must move together
-    /// by whole segments, and its segments are recorded for the class
-    /// union rather than added directly.
+    /// The executor's per-warp 128-byte coalescing flush. While the class
+    /// is active, each batch's lanes must move together by whole segments,
+    /// and its segments are recorded for the class union rather than added
+    /// directly.
     fn flush(&mut self, mask: &[bool]) {
-        if !self.any_pend {
-            return;
-        }
-        let warp = self.warp.max(1);
-        let n = self.n_items;
-        for kind in 0..2 {
-            let pend = if kind == 0 {
-                &self.pend_loads
-            } else {
-                &self.pend_stores
-            };
-            let max_ord = pend.iter().map(|p| p.len()).max().unwrap_or(0);
-            if max_ord == 0 {
-                continue;
+        let (class, class_segs, seen) = (&mut self.class, &mut self.class_segs, &mut self.seen);
+        self.coal.flush(mask, &mut self.stats, |segs, batch| {
+            let (slope, mixed) = batch.expect("a non-empty batch noted its lanes");
+            if class.active {
+                class.collapse(mixed);
+                class.keep_aligned(slope);
             }
-            for warp_start in (0..n).step_by(warp) {
-                for k in 0..max_ord {
-                    self.segs.clear();
-                    let mut slope: Option<Sl> = None;
-                    let mut mixed = FLAT;
-                    #[allow(clippy::needless_range_loop)] // parallel indexing into mask + pends
-                    for i in warp_start..(warp_start + warp).min(n) {
-                        if !mask[i] {
-                            continue;
-                        }
-                        if let Some(&(addr, s)) = pend[i].get(k) {
-                            self.segs.push(addr / SEGMENT_BYTES);
-                            let first = *slope.get_or_insert(s);
-                            for d in 0..3 {
-                                mixed[d] |= (first[d] != s[d]) as i64;
-                            }
-                        }
-                    }
-                    let Some(slope) = slope else {
-                        continue;
-                    };
-                    self.segs.sort_unstable();
-                    self.segs.dedup();
-                    if kind == 0 {
-                        self.stats.load_transactions += self.segs.len() as u64;
-                    } else {
-                        self.stats.store_transactions += self.segs.len() as u64;
-                    }
-                    if self.class.active {
-                        self.class.collapse(mixed);
-                        self.class.keep_aligned(slope);
-                    }
-                    if self.class.active {
-                        self.class_segs
-                            .extend(self.segs.iter().map(|&g| (g, slope)));
-                    } else {
-                        for s in &self.segs {
-                            self.seen.insert(*s);
-                        }
-                    }
+            if class.active {
+                class_segs.extend(segs.iter().map(|&g| (g, slope)));
+            } else {
+                for &g in segs {
+                    seen.insert(g);
                 }
             }
-        }
-        for p in &mut self.pend_loads {
-            p.clear();
-        }
-        for p in &mut self.pend_stores {
-            p.clear();
-        }
-        self.any_pend = false;
+        });
     }
 }
 

@@ -1,4 +1,4 @@
-//! The lock-step work-group executors.
+//! The lock-step work-group executor.
 //!
 //! Work-items of one group execute each statement together (an active-mask
 //! walks the statements, as in POCL's work-item loops): local-memory
@@ -6,22 +6,18 @@
 //! under a divergent mask is reported as an error — the same constraint the
 //! OpenCL specification places on real devices.
 //!
-//! Two engines implement these semantics:
-//!
-//! * `PlanMachine` — the production inner loop: a register machine
-//!   driving a pre-compiled [`Plan`] (see [`crate::plan`]) with one scratch
-//!   arena reused across every work-group of a launch. This is what makes
-//!   the simulator fast enough to sit on the autotuner's hot path.
-//! * `Machine` — the original tree-walking interpreter, kept as the
-//!   executable reference semantics. The differential suite and CI
-//!   byte-diff every benchmark through both engines; outputs,
-//!   [`KernelStats`] and modeled times must match bit-for-bit.
+//! `PlanMachine` is a register machine driving a pre-compiled [`Plan`]
+//! (see [`crate::plan`]) with one scratch arena reused across every
+//! work-group of a launch — fast enough to sit on the autotuner's hot path.
+//! Its event accounting (the SIMD idle-lane charge `simd_charge` and the
+//! per-warp coalescing flush `Coalescer`) is shared with the static cost
+//! replay in [`crate::cost`], so a replay counts exactly what a launch
+//! counts.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use lift_codegen::clike::{BinOp, CExpr, CStmt, CType, Kernel, UnOp, WorkItemFn};
+use lift_codegen::clike::{BinOp, CType, UnOp, WorkItemFn};
 use lift_core::scalar::Scalar;
 
 use crate::perf::{KernelStats, SegmentSet, SEGMENT_BYTES};
@@ -140,82 +136,6 @@ impl V {
     }
 }
 
-/// Where a buffer variable lives (tree interpreter).
-#[derive(Debug, Clone, Copy)]
-enum BufKind {
-    Global { slot: usize, base_addr: u64 },
-    Local { slot: usize },
-}
-
-/// Per-work-item state (tree interpreter).
-struct ItemEnv {
-    scalars: Vec<V>,
-    priv_arrays: Vec<Vec<V>>,
-    lid: [usize; 3],
-    /// Global-memory addresses touched while executing the current
-    /// lock-step statement (loads and stores separately, in program order).
-    pend_loads: Vec<u64>,
-    pend_stores: Vec<u64>,
-}
-
-/// A recycling pool for the active-mask buffers `for`-iterations and
-/// `if`-branches need: every mask used to be a fresh `vec![…; wg]`
-/// allocation per statement, now the handful of live masks are reused for
-/// the whole launch.
-struct MaskPool {
-    free: Vec<Vec<bool>>,
-    n: usize,
-}
-
-impl MaskPool {
-    fn new(n: usize) -> Self {
-        MaskPool {
-            free: Vec::new(),
-            n,
-        }
-    }
-
-    /// An all-false mask of the launch's group size.
-    fn get(&mut self) -> Vec<bool> {
-        match self.free.pop() {
-            Some(mut m) => {
-                m.clear();
-                m.resize(self.n, false);
-                m
-            }
-            None => vec![false; self.n],
-        }
-    }
-
-    fn put(&mut self, m: Vec<bool>) {
-        self.free.push(m);
-    }
-}
-
-pub(crate) struct Machine<'a> {
-    kernel: &'a Kernel,
-    global: &'a mut [BufferData],
-    bufs: HashMap<u32, BufKind>,
-    scalar_slots: HashMap<u32, usize>,
-    priv_slots: HashMap<u32, (usize, usize)>,
-    /// Private-array lengths in stable slot order (see
-    /// [`lift_codegen::clike::SlotMap`]).
-    priv_lens: Vec<usize>,
-    call_costs: HashMap<String, u64>,
-    pub(crate) stats: KernelStats,
-    /// Distinct global segments touched (becomes `unique_segments`).
-    seen: SegmentSet,
-    warp: usize,
-    cfg: LaunchConfig,
-}
-
-/// Per-group execution state (tree interpreter).
-struct Group {
-    items: Vec<ItemEnv>,
-    locals: Vec<Vec<V>>,
-    group_id: [usize; 3],
-}
-
 /// Estimated scalar-op cost of calling a user function, from its C body:
 /// one unit per cheap arithmetic/compare op, with division and
 /// transcendental calls weighted like real GPU ALUs (divides and `sqrt`
@@ -233,11 +153,11 @@ pub(crate) fn call_cost(body: &str) -> u64 {
     (cheap + 8 * divides + 8 * transcendental).max(1)
 }
 
-/// SIMD lock-step cost, shared verbatim by both engines: a warp executes a
-/// statement for *all* its lanes even when only some are active. After
-/// running a statement batch that retired `alu_ops − before` ops over the
-/// active lanes of `mask`, charge the idle lanes of every touched warp
-/// proportionally.
+/// SIMD lock-step cost, shared by the executor and the cost replay: a warp
+/// executes a statement for *all* its lanes even when only some are
+/// active. After running a statement batch that retired `alu_ops − before`
+/// ops over the active lanes of `mask`, charge the idle lanes of every
+/// touched warp proportionally.
 pub(crate) fn simd_charge(stats: &mut KernelStats, warp: usize, mask: &[bool], before: u64) {
     let delta = stats.alu_ops - before;
     if delta == 0 {
@@ -261,527 +181,126 @@ pub(crate) fn simd_charge(stats: &mut KernelStats, warp: usize, mask: &[bool], b
     stats.divergence_ops += full_cost - delta;
 }
 
-impl<'a> Machine<'a> {
-    pub(crate) fn new(
-        kernel: &'a Kernel,
-        global: &'a mut [BufferData],
-        cfg: LaunchConfig,
-        warp: usize,
-    ) -> Result<Self, SimError> {
-        let mut bufs = HashMap::new();
-        let mut base = 0u64;
-        for p in &kernel.params {
-            bufs.insert(
-                p.var.id(),
-                BufKind::Global {
-                    slot: bufs.len(),
-                    base_addr: base,
-                },
-            );
-            // Segment-align each buffer.
-            base += ((p.len as u64 * 4).div_ceil(SEGMENT_BYTES)) * SEGMENT_BYTES;
-        }
-        for (slot, l) in kernel.locals.iter().enumerate() {
-            bufs.insert(l.var.id(), BufKind::Local { slot });
-        }
+/// A queued global access: its byte address, plus whatever per-lane facts
+/// a machine's batch hook reads (see [`Coalescer::flush`]).
+pub(crate) trait Access: Copy {
+    /// What the hook learns about the lanes of one coalescing batch.
+    type Batch: Default;
+    /// The accessed byte address.
+    fn addr(self) -> u64;
+    /// Folds this lane's access into its batch summary.
+    fn note(self, batch: &mut Self::Batch);
+}
 
-        // Environment slots come from the kernel's stable slot metadata —
-        // the same assignment the plan compiler resolves against.
-        let slots = kernel.slot_map();
-        let scalar_slots: HashMap<u32, usize> = slots
-            .scalars
-            .iter()
-            .enumerate()
-            .map(|(i, (v, _))| (v.id(), i))
-            .collect();
-        let priv_slots: HashMap<u32, (usize, usize)> = slots
-            .priv_arrays
-            .iter()
-            .enumerate()
-            .map(|(i, (v, _, len))| (v.id(), (i, *len)))
-            .collect();
-        let priv_lens: Vec<usize> = slots.priv_arrays.iter().map(|(_, _, len)| *len).collect();
+/// The executor queues bare addresses.
+impl Access for u64 {
+    type Batch = ();
 
-        let mut call_costs = HashMap::new();
-        for uf in &kernel.user_funs {
-            call_costs.insert(uf.name().to_string(), call_cost(uf.c_body()));
-        }
+    #[inline]
+    fn addr(self) -> u64 {
+        self
+    }
 
-        let mut stats = KernelStats::default();
-        let wg = cfg.local.iter().product::<usize>();
-        stats.wg_size = wg as u64;
-        stats.work_groups = (cfg.groups().iter().product::<usize>()) as u64;
-        stats.work_items = (cfg.global.iter().product::<usize>()) as u64;
-        stats.local_bytes_per_group = kernel.local_bytes() as u64;
+    #[inline]
+    fn note(self, _: &mut ()) {}
+}
 
-        Ok(Machine {
-            kernel,
-            global,
-            bufs,
-            scalar_slots,
-            priv_slots,
-            priv_lens,
-            call_costs,
-            stats,
-            seen: SegmentSet::with_segments(base / SEGMENT_BYTES),
+/// The per-lane global loads and stores queued by the current lock-step
+/// statement, and the coalescing analysis that prices them.
+pub(crate) struct Coalescer<A> {
+    loads: Vec<Vec<A>>,
+    stores: Vec<Vec<A>>,
+    /// Whether any lane queued an access since the last flush.
+    any: bool,
+    warp: usize,
+    /// Segment scratch for one batch.
+    segs: Vec<u64>,
+}
+
+impl<A: Access> Coalescer<A> {
+    pub(crate) fn new(n_items: usize, warp: usize) -> Self {
+        let warp = warp.max(1);
+        Coalescer {
+            loads: vec![Vec::new(); n_items],
+            stores: vec![Vec::new(); n_items],
+            any: false,
             warp,
-            cfg,
-        })
-    }
-
-    pub(crate) fn run(&mut self) -> Result<(), SimError> {
-        let groups = self.cfg.groups();
-        let wg = self.cfg.local;
-        let wg_linear = wg.iter().product::<usize>();
-        // The statement tree is borrowed, not cloned per work-group, and
-        // the all-true base mask plus branch/loop masks are reused for the
-        // whole launch.
-        let body: &'a [CStmt] = &self.kernel.body;
-        let mask = vec![true; wg_linear];
-        let mut pool = MaskPool::new(wg_linear);
-        for gz in 0..groups[2] {
-            for gy in 0..groups[1] {
-                for gx in 0..groups[0] {
-                    let mut grp = self.make_group([gx, gy, gz], wg, wg_linear);
-                    self.exec_stmts(body, &mut grp, &mask, &mut pool)?;
-                }
-            }
-        }
-        self.stats.unique_segments = self.seen.len();
-        Ok(())
-    }
-
-    fn make_group(&self, group_id: [usize; 3], wg: [usize; 3], wg_linear: usize) -> Group {
-        let n_scalars = self.scalar_slots.len();
-        let items = (0..wg_linear)
-            .map(|i| {
-                let lx = i % wg[0];
-                let ly = (i / wg[0]) % wg[1];
-                let lz = i / (wg[0] * wg[1]);
-                ItemEnv {
-                    scalars: vec![V::I(0); n_scalars],
-                    priv_arrays: self
-                        .priv_lens
-                        .iter()
-                        .map(|len| vec![V::F(0.0); *len])
-                        .collect(),
-                    lid: [lx, ly, lz],
-                    pend_loads: Vec::new(),
-                    pend_stores: Vec::new(),
-                }
-            })
-            .collect();
-        let locals = self
-            .kernel
-            .locals
-            .iter()
-            .map(|l| vec![V::F(0.0); l.len])
-            .collect();
-        Group {
-            items,
-            locals,
-            group_id,
+            segs: Vec::with_capacity(warp),
         }
     }
 
-    fn exec_stmts(
-        &mut self,
-        stmts: &[CStmt],
-        grp: &mut Group,
-        mask: &[bool],
-        pool: &mut MaskPool,
-    ) -> Result<(), SimError> {
-        for s in stmts {
-            self.exec_stmt(s, grp, mask, pool)?;
-        }
-        Ok(())
+    #[inline]
+    pub(crate) fn load(&mut self, lane: usize, a: A) {
+        self.loads[lane].push(a);
+        self.any = true;
     }
 
-    fn exec_stmt(
-        &mut self,
-        s: &CStmt,
-        grp: &mut Group,
-        mask: &[bool],
-        pool: &mut MaskPool,
-    ) -> Result<(), SimError> {
-        match s {
-            CStmt::DeclScalar { var, init, ty } => {
-                if let Some(e) = init {
-                    let slot = self.scalar_slot(var.id())?;
-                    let before = self.stats.alu_ops;
-                    for i in active(mask) {
-                        let v = self.eval(e, grp, i)?;
-                        grp.items[i].scalars[slot] = coerce(v, *ty);
-                    }
-                    simd_charge(&mut self.stats, self.warp, mask, before);
-                    self.flush_accesses(grp, mask);
-                }
-                Ok(())
-            }
-            CStmt::DeclPrivateArray { .. } => Ok(()), // pre-allocated
-            CStmt::Assign { var, value } => {
-                let slot = self.scalar_slot(var.id())?;
-                let before = self.stats.alu_ops;
-                for i in active(mask) {
-                    let v = self.eval(value, grp, i)?;
-                    grp.items[i].scalars[slot] = v;
-                }
-                simd_charge(&mut self.stats, self.warp, mask, before);
-                self.flush_accesses(grp, mask);
-                Ok(())
-            }
-            CStmt::Store {
-                buf, idx, value, ..
-            } => {
-                let before = self.stats.alu_ops;
-                for i in active(mask) {
-                    let index = self.eval(idx, grp, i)?.as_i()?;
-                    let v = self.eval(value, grp, i)?;
-                    self.store(buf.id(), buf.name(), index, v, grp, i)?;
-                }
-                simd_charge(&mut self.stats, self.warp, mask, before);
-                self.flush_accesses(grp, mask);
-                Ok(())
-            }
-            CStmt::For {
-                var,
-                init,
-                bound,
-                step,
-                body,
-            } => {
-                let slot = self.scalar_slot(var.id())?;
-                for i in active(mask) {
-                    let v = self.eval(init, grp, i)?;
-                    grp.items[i].scalars[slot] = v;
-                }
-                self.flush_accesses(grp, mask);
-                loop {
-                    let mut iter_mask = pool.get();
-                    let mut any = false;
-                    let before = self.stats.alu_ops;
-                    for i in active(mask) {
-                        let cur = grp.items[i].scalars[slot].as_i()?;
-                        let b = self.eval(bound, grp, i)?.as_i()?;
-                        self.stats.alu_ops += 1; // the comparison
-                        if cur < b {
-                            iter_mask[i] = true;
-                            any = true;
-                        }
-                    }
-                    simd_charge(&mut self.stats, self.warp, mask, before);
-                    self.flush_accesses(grp, mask);
-                    if !any {
-                        pool.put(iter_mask);
-                        break;
-                    }
-                    self.exec_stmts(body, grp, &iter_mask, pool)?;
-                    let before = self.stats.alu_ops;
-                    for i in active(&iter_mask) {
-                        let st = self.eval(step, grp, i)?.as_i()?;
-                        let cur = grp.items[i].scalars[slot].as_i()?;
-                        grp.items[i].scalars[slot] = V::I(cur + st);
-                        self.stats.alu_ops += 1;
-                    }
-                    simd_charge(&mut self.stats, self.warp, &iter_mask, before);
-                    self.flush_accesses(grp, &iter_mask);
-                    pool.put(iter_mask);
-                }
-                Ok(())
-            }
-            CStmt::If { cond, then_, else_ } => {
-                let mut t_mask = pool.get();
-                let mut e_mask = pool.get();
-                let before = self.stats.alu_ops;
-                for i in active(mask) {
-                    if self.eval(cond, grp, i)?.as_b()? {
-                        t_mask[i] = true;
-                    } else {
-                        e_mask[i] = true;
-                    }
-                }
-                simd_charge(&mut self.stats, self.warp, mask, before);
-                self.flush_accesses(grp, mask);
-                if t_mask.iter().any(|&b| b) {
-                    self.exec_stmts(then_, grp, &t_mask, pool)?;
-                }
-                if e_mask.iter().any(|&b| b) {
-                    self.exec_stmts(else_, grp, &e_mask, pool)?;
-                }
-                pool.put(t_mask);
-                pool.put(e_mask);
-                Ok(())
-            }
-            CStmt::Barrier { .. } => {
-                if mask.iter().any(|&b| !b) {
-                    return Err(SimError::BarrierDivergence);
-                }
-                self.stats.barriers += 1;
-                Ok(())
-            }
-            CStmt::Comment(_) => Ok(()),
-        }
+    #[inline]
+    pub(crate) fn store(&mut self, lane: usize, a: A) {
+        self.stores[lane].push(a);
+        self.any = true;
     }
 
-    fn scalar_slot(&self, id: u32) -> Result<usize, SimError> {
-        self.scalar_slots
-            .get(&id)
-            .copied()
-            .ok_or_else(|| SimError::UnboundVariable(format!("slot #{id}")))
-    }
-
-    fn eval(&mut self, e: &CExpr, grp: &mut Group, item: usize) -> Result<V, SimError> {
-        match e {
-            CExpr::Int(v) => Ok(V::I(*v)),
-            CExpr::Float(v) => Ok(V::F(*v)),
-            CExpr::Bool(v) => Ok(V::B(*v)),
-            CExpr::Var(v) => {
-                let slot = self.scalar_slot(v.id())?;
-                Ok(grp.items[item].scalars[slot])
-            }
-            CExpr::WorkItem(f, d) => {
-                let d = *d as usize;
-                let lid = grp.items[item].lid[d];
-                let v = match f {
-                    WorkItemFn::GlobalId => grp.group_id[d] * self.cfg.local[d] + lid,
-                    WorkItemFn::LocalId => lid,
-                    WorkItemFn::GroupId => grp.group_id[d],
-                    WorkItemFn::GlobalSize => self.cfg.global[d],
-                    WorkItemFn::LocalSize => self.cfg.local[d],
-                    WorkItemFn::NumGroups => self.cfg.groups()[d],
-                };
-                Ok(V::I(v as i64))
-            }
-            CExpr::Bin(op, a, b) => {
-                let va = self.eval(a, grp, item)?;
-                let vb = self.eval(b, grp, item)?;
-                self.stats.alu_ops += 1;
-                bin_op(*op, va, vb)
-            }
-            CExpr::Un(op, a) => {
-                let v = self.eval(a, grp, item)?;
-                self.stats.alu_ops += 1;
-                un_op(*op, v)
-            }
-            CExpr::Call(f, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a, grp, item)?.to_scalar());
-                }
-                let cost = self
-                    .call_costs
-                    .get(f.name())
-                    .copied()
-                    .unwrap_or_else(|| call_cost(f.c_body()));
-                self.stats.alu_ops += cost;
-                Ok(V::from_scalar(f.call(&vals)))
-            }
-            CExpr::Load { buf, idx, .. } => {
-                let index = self.eval(idx, grp, item)?.as_i()?;
-                self.load(buf.id(), buf.name(), index, grp, item)
-            }
-            CExpr::Select { cond, then_, else_ } => {
-                let c = self.eval(cond, grp, item)?.as_b()?;
-                self.stats.alu_ops += 1;
-                if c {
-                    self.eval(then_, grp, item)
-                } else {
-                    self.eval(else_, grp, item)
-                }
-            }
-            CExpr::Cast(t, a) => {
-                let v = self.eval(a, grp, item)?;
-                Ok(cast(*t, v))
-            }
+    /// Drops every queued access without pricing it.
+    pub(crate) fn clear(&mut self) {
+        for p in self.loads.iter_mut().chain(&mut self.stores) {
+            p.clear();
         }
-    }
-
-    fn load(
-        &mut self,
-        buf_id: u32,
-        buf_name: &str,
-        index: i64,
-        grp: &mut Group,
-        item: usize,
-    ) -> Result<V, SimError> {
-        match self.bufs.get(&buf_id).copied() {
-            Some(BufKind::Global { slot, base_addr }) => {
-                let data = &self.global[slot];
-                let len = data.len();
-                if index < 0 || index as usize >= len {
-                    return Err(SimError::OutOfBounds {
-                        buffer: buf_name.to_string(),
-                        index,
-                        len,
-                    });
-                }
-                self.stats.global_loads += 1;
-                grp.items[item]
-                    .pend_loads
-                    .push(base_addr + index as u64 * 4);
-                Ok(match data {
-                    BufferData::F32(v) => V::F(v[index as usize]),
-                    BufferData::I32(v) => V::I(v[index as usize] as i64),
-                })
-            }
-            Some(BufKind::Local { slot }) => {
-                let data = &grp.locals[slot];
-                if index < 0 || index as usize >= data.len() {
-                    return Err(SimError::OutOfBounds {
-                        buffer: buf_name.to_string(),
-                        index,
-                        len: data.len(),
-                    });
-                }
-                self.stats.local_accesses += 1;
-                Ok(data[index as usize])
-            }
-            None => {
-                // Private array.
-                let (slot, len) = self
-                    .priv_slots
-                    .get(&buf_id)
-                    .copied()
-                    .ok_or_else(|| SimError::UnboundVariable(format!("buffer `{buf_name}`")))?;
-                if index < 0 || index as usize >= len {
-                    return Err(SimError::OutOfBounds {
-                        buffer: buf_name.to_string(),
-                        index,
-                        len,
-                    });
-                }
-                Ok(grp.items[item].priv_arrays[slot][index as usize])
-            }
-        }
-    }
-
-    fn store(
-        &mut self,
-        buf_id: u32,
-        buf_name: &str,
-        index: i64,
-        v: V,
-        grp: &mut Group,
-        item: usize,
-    ) -> Result<(), SimError> {
-        match self.bufs.get(&buf_id).copied() {
-            Some(BufKind::Global { slot, base_addr }) => {
-                let data = &mut self.global[slot];
-                let len = data.len();
-                if index < 0 || index as usize >= len {
-                    return Err(SimError::OutOfBounds {
-                        buffer: buf_name.to_string(),
-                        index,
-                        len,
-                    });
-                }
-                self.stats.global_stores += 1;
-                grp.items[item]
-                    .pend_stores
-                    .push(base_addr + index as u64 * 4);
-                store_value(data, index as usize, v)?;
-                Ok(())
-            }
-            Some(BufKind::Local { slot }) => {
-                let data = &mut grp.locals[slot];
-                if index < 0 || index as usize >= data.len() {
-                    return Err(SimError::OutOfBounds {
-                        buffer: buf_name.to_string(),
-                        index,
-                        len: data.len(),
-                    });
-                }
-                self.stats.local_accesses += 1;
-                data[index as usize] = v;
-                Ok(())
-            }
-            None => {
-                let (slot, len) = self
-                    .priv_slots
-                    .get(&buf_id)
-                    .copied()
-                    .ok_or_else(|| SimError::UnboundVariable(format!("buffer `{buf_name}`")))?;
-                if index < 0 || index as usize >= len {
-                    return Err(SimError::OutOfBounds {
-                        buffer: buf_name.to_string(),
-                        index,
-                        len,
-                    });
-                }
-                grp.items[item].priv_arrays[slot][index as usize] = v;
-                Ok(())
-            }
-        }
+        self.any = false;
     }
 
     /// Coalescing analysis: after a lock-step statement, the k-th access of
-    /// each work-item lines up across the warp; each warp pays one
-    /// transaction per distinct 128-byte segment at each ordinal.
-    ///
-    /// [`PlanMachine::flush`] implements the identical analysis over its
-    /// flat scratch arena; keep the two in lock-step.
-    fn flush_accesses(&mut self, grp: &mut Group, mask: &[bool]) {
-        let warp = self.warp.max(1);
-        let n = grp.items.len();
-        let mut segs: Vec<u64> = Vec::with_capacity(warp);
+    /// each active work-item lines up across its warp; each warp pays one
+    /// transaction per distinct 128-byte segment at each ordinal. `batch`
+    /// receives each (warp, ordinal) batch's sorted distinct segments and
+    /// its lanes' summary; the queues are empty afterwards.
+    pub(crate) fn flush(
+        &mut self,
+        mask: &[bool],
+        stats: &mut KernelStats,
+        mut batch: impl FnMut(&[u64], A::Batch),
+    ) {
+        if !self.any {
+            return;
+        }
+        let warp = self.warp;
+        let n = self.loads.len();
         for kind in 0..2 {
-            let max_ord = grp
-                .items
-                .iter()
-                .map(|it| {
-                    if kind == 0 {
-                        it.pend_loads.len()
-                    } else {
-                        it.pend_stores.len()
-                    }
-                })
-                .max()
-                .unwrap_or(0);
+            let pend = if kind == 0 { &self.loads } else { &self.stores };
+            let max_ord = pend.iter().map(|p| p.len()).max().unwrap_or(0);
             if max_ord == 0 {
                 continue;
             }
             for warp_start in (0..n).step_by(warp) {
                 for k in 0..max_ord {
-                    segs.clear();
-                    #[allow(clippy::needless_range_loop)] // parallel indexing into mask + items
+                    self.segs.clear();
+                    let mut summary = A::Batch::default();
+                    #[allow(clippy::needless_range_loop)] // parallel indexing into mask + pends
                     for i in warp_start..(warp_start + warp).min(n) {
                         if !mask[i] {
                             continue;
                         }
-                        let pend = if kind == 0 {
-                            &grp.items[i].pend_loads
-                        } else {
-                            &grp.items[i].pend_stores
-                        };
-                        if let Some(addr) = pend.get(k) {
-                            segs.push(addr / SEGMENT_BYTES);
+                        if let Some(&a) = pend[i].get(k) {
+                            self.segs.push(a.addr() / SEGMENT_BYTES);
+                            a.note(&mut summary);
                         }
                     }
-                    if segs.is_empty() {
+                    if self.segs.is_empty() {
                         continue;
                     }
-                    segs.sort_unstable();
-                    segs.dedup();
+                    self.segs.sort_unstable();
+                    self.segs.dedup();
                     if kind == 0 {
-                        self.stats.load_transactions += segs.len() as u64;
+                        stats.load_transactions += self.segs.len() as u64;
                     } else {
-                        self.stats.store_transactions += segs.len() as u64;
+                        stats.store_transactions += self.segs.len() as u64;
                     }
-                    for s in &segs {
-                        self.seen.insert(*s);
-                    }
+                    batch(&self.segs, summary);
                 }
             }
         }
-        for it in &mut grp.items {
-            it.pend_loads.clear();
-            it.pend_stores.clear();
-        }
+        self.clear();
     }
-}
-
-fn active(mask: &[bool]) -> impl Iterator<Item = usize> + '_ {
-    mask.iter().enumerate().filter_map(|(i, &b)| b.then_some(i))
 }
 
 pub(crate) fn coerce(v: V, ty: CType) -> V {
@@ -947,12 +466,11 @@ struct SelFrame {
 /// Expressions evaluate **op-major**: each bytecode op executes for every
 /// active lane before the next op, over pooled [`Slab`]s — one dispatch per
 /// op per group instead of per op per work-item, with unboxed loops
-/// wherever plan compilation proved the value kinds. Semantics — statement
-/// order, per-lane laziness of `?:` (via mask splits), event counting,
-/// [`simd_charge`] and the coalescing flush — mirror [`Machine`] exactly;
+/// wherever plan compilation proved the value kinds. Each lane still sees
+/// lane-by-lane semantics: statements run in order, `?:` stays lazy per
+/// lane (via mask splits), and every event is counted once per active lane;
 /// lane-invariant (`uniform`) expressions are evaluated once per group with
-/// their ALU cost multiplied by the active-lane count. Every counter stays
-/// bit-identical to the tree interpreter.
+/// their ALU cost multiplied by the active-lane count.
 pub(crate) struct PlanMachine<'a> {
     plan: &'a Plan,
     global: &'a mut [BufferData],
@@ -974,9 +492,7 @@ pub(crate) struct PlanMachine<'a> {
     privs_f: Vec<f32>,
     privs_v: Vec<V>,
     /// Pending global accesses per item for the coalescing flush.
-    pend_loads: Vec<Vec<u64>>,
-    pend_stores: Vec<Vec<u64>>,
-    any_pend: bool,
+    coal: Coalescer<u64>,
     /// Mask slots; `masks[0]` is the all-true base mask.
     masks: Vec<Vec<bool>>,
     /// Whether mask slot `i` had any active lane when last written.
@@ -995,8 +511,6 @@ pub(crate) struct PlanMachine<'a> {
     uni_mask: Vec<bool>,
     /// User-function argument scratch.
     args: Vec<Scalar>,
-    /// Segment scratch for the coalescing flush.
-    segs: Vec<u64>,
     /// Distinct global segments touched (becomes `unique_segments`).
     seen: SegmentSet,
 }
@@ -1036,9 +550,7 @@ impl<'a> PlanMachine<'a> {
             locals_v: vec![V::F(0.0); plan.local_v_total],
             privs_f: vec![0.0; plan.priv_f_total * n_items],
             privs_v: vec![V::F(0.0); plan.priv_v_total * n_items],
-            pend_loads: vec![Vec::new(); n_items],
-            pend_stores: vec![Vec::new(); n_items],
-            any_pend: false,
+            coal: Coalescer::new(n_items, warp),
             masks: (0..n_masks).map(|i| vec![i == 0; n_items]).collect(),
             mask_any: vec![false; n_masks],
             mask_stack: Vec::with_capacity(n_masks),
@@ -1054,7 +566,6 @@ impl<'a> PlanMachine<'a> {
                 m
             },
             args: Vec::with_capacity(4),
-            segs: Vec::with_capacity(warp.max(1)),
             seen: SegmentSet::with_segments(plan.global_segments),
         }
     }
@@ -1105,8 +616,7 @@ impl<'a> PlanMachine<'a> {
 
     /// Re-arms the scratch arena for the next work-group: scalars read
     /// before assignment are integer zero, private and local storage is
-    /// float zero — the exact initial state [`Machine::make_group`]
-    /// allocates fresh.
+    /// float zero.
     fn reset_group(&mut self) {
         self.iscalars.fill(0);
         self.vscalars.fill(V::I(0));
@@ -1365,7 +875,7 @@ impl<'a> PlanMachine<'a> {
 
     /// The per-lane store loop, with unboxed fast paths for the dominant
     /// shapes (float data through integer indices into float storage) and
-    /// a tagged fallback that matches the tree interpreter case for case.
+    /// a tagged fallback with the per-value semantics of `store_value`.
     fn store_lanes(
         &mut self,
         mask: &[bool],
@@ -1385,7 +895,7 @@ impl<'a> PlanMachine<'a> {
                     (&self.global[slot], idx_src, val_src)
                 {
                     let mut fault = None;
-                    let pend = &mut self.pend_stores;
+                    let coal = &mut self.coal;
                     let BufferData::F32(d) = &mut self.global[slot] else {
                         unreachable!("matched above");
                     };
@@ -1403,13 +913,10 @@ impl<'a> PlanMachine<'a> {
                             });
                             break;
                         }
-                        pend[i].push(base + index as u64 * 4);
+                        coal.store(i, base + index as u64 * 4);
                         d[index as usize] = fv[i];
                     }
                     self.stats.global_stores += *count;
-                    if *count > 0 {
-                        self.any_pend = true;
-                    }
                     return fault.map_or(Ok(()), Err);
                 }
                 let mut fault = None;
@@ -1442,16 +949,13 @@ impl<'a> PlanMachine<'a> {
                         Err(pre) => *pre,
                     };
                     stores += 1;
-                    self.pend_stores[i].push(base + index as u64 * 4);
+                    self.coal.store(i, base + index as u64 * 4);
                     if let Err(e) = store_value(&mut self.global[slot], index as usize, v) {
                         fault = Some(e);
                         break;
                     }
                 }
                 self.stats.global_stores += stores;
-                if stores > 0 {
-                    self.any_pend = true;
-                }
                 fault.map_or(Ok(()), Err)
             }
             BufSlot::LocalF { off, len, name } => {
@@ -1857,8 +1361,8 @@ impl<'a> PlanMachine<'a> {
     /// starts, over typed [`Slab`]s. Pure ALU costs accumulate into `ops`
     /// (already summed over lanes); memory events hit [`KernelStats`]
     /// directly, with per-lane side effects (pending-access queues, fault
-    /// checks) identical to the tree interpreter's lane-by-lane
-    /// evaluation. `?:` selects split the lane mask so each lane still
+    /// checks) in lane order, as a lane-by-lane evaluation would make
+    /// them. `?:` selects split the lane mask so each lane still
     /// evaluates only its taken arm.
     ///
     /// The operand stack and select-frame storage live in the machine
@@ -2153,8 +1657,7 @@ impl<'a> PlanMachine<'a> {
     /// One binary op across the active lanes. Infallible typed cases run
     /// unmasked (inactive lanes compute garbage nobody reads); fallible
     /// cases (integer division, kind mismatches) check per active lane and
-    /// report the same fault, for the same first active lane, as the tree
-    /// interpreter.
+    /// report the fault of the first active lane that hits one.
     fn bin_vec(&mut self, op: BinOp, a: Slab, b: Slab, mask: &[bool]) -> Result<Slab, SimError> {
         use BinOp::*;
         match (a, b) {
@@ -2230,7 +1733,7 @@ impl<'a> PlanMachine<'a> {
                         Ok(Slab::B(out))
                     }
                     And | Or => {
-                        // Faults per active lane, like the tree interpreter.
+                        // Faults per active lane, through `bin_op`.
                         return self.bin_generic(op, Slab::I(av), Slab::I(bv), mask);
                     }
                 };
@@ -2337,7 +1840,7 @@ impl<'a> PlanMachine<'a> {
     /// Mixed or tagged operands: lane-by-lane through the shared scalar
     /// kernel, producing tagged lanes (per-lane kinds may differ).
     /// Mismatched typed pairs fault at the first active lane with the
-    /// exact tree-interpreter message; an empty mask (a dead select arm)
+    /// message of `bin_op`; an empty mask (a dead select arm)
     /// faults nowhere, exactly as no lane would have evaluated it.
     fn bin_generic(
         &mut self,
@@ -2372,8 +1875,8 @@ impl<'a> PlanMachine<'a> {
     fn un_vec(&mut self, op: UnOp, a: Slab, mask: &[bool]) -> Result<Slab, SimError> {
         match (op, a) {
             // Wrapping negation keeps the unmasked loop panic-free on
-            // garbage lanes; active-lane values behave as in the tree
-            // interpreter (two's-complement wrap at i64::MIN aside).
+            // garbage lanes; active-lane values behave as `un_op`
+            // (two's-complement wrap at i64::MIN aside).
             (UnOp::Neg, Slab::I(mut v)) => {
                 for x in v.iter_mut() {
                     *x = x.wrapping_neg();
@@ -2459,8 +1962,7 @@ impl<'a> PlanMachine<'a> {
     /// One buffer load for every active lane: the buffer kind (and, for
     /// global buffers, the element type) is dispatched once per op; the
     /// per-lane loop does only the index conversion, bounds check,
-    /// pending-access bookkeeping and element read — in the same per-lane
-    /// order as the tree interpreter.
+    /// pending-access bookkeeping and element read, in lane order.
     fn load_vec(&mut self, buf: BufSlot, idx: &Slab, mask: &[bool]) -> Result<Slab, SimError> {
         match buf {
             BufSlot::Global { slot, name } => {
@@ -2469,7 +1971,7 @@ impl<'a> PlanMachine<'a> {
                 let len = self.global[slot].len();
                 let mut count = 0u64;
                 let mut fault = None;
-                let pend = &mut self.pend_loads;
+                let coal = &mut self.coal;
                 macro_rules! lanes {
                     ($d:ident, $out:ident, $conv:expr) => {
                         // Integer index lanes skip the per-lane kind check.
@@ -2487,7 +1989,7 @@ impl<'a> PlanMachine<'a> {
                                     });
                                     break;
                                 }
-                                pend[i].push(base + index as u64 * 4);
+                                coal.load(i, base + index as u64 * 4);
                                 $out[i] = $conv($d[index as usize]);
                                 count += 1;
                             }
@@ -2511,7 +2013,7 @@ impl<'a> PlanMachine<'a> {
                                     });
                                     break;
                                 }
-                                pend[i].push(base + index as u64 * 4);
+                                coal.load(i, base + index as u64 * 4);
                                 $out[i] = $conv($d[index as usize]);
                                 count += 1;
                             }
@@ -2531,9 +2033,6 @@ impl<'a> PlanMachine<'a> {
                     }
                 };
                 self.stats.global_loads += count;
-                if count > 0 {
-                    self.any_pend = true;
-                }
                 match fault {
                     Some(e) => {
                         self.sput(out);
@@ -2678,59 +2177,12 @@ impl<'a> PlanMachine<'a> {
         }
     }
 
-    /// The coalescing flush, identical in behaviour to
-    /// [`Machine::flush_accesses`] but over the flat scratch arena and
-    /// skipped outright when the statement queued no global access.
     fn flush(&mut self, mask: &[bool]) {
-        if !self.any_pend {
-            return;
-        }
-        let warp = self.warp.max(1);
-        let n = self.n_items;
-        for kind in 0..2 {
-            let pend = if kind == 0 {
-                &self.pend_loads
-            } else {
-                &self.pend_stores
-            };
-            let max_ord = pend.iter().map(|p| p.len()).max().unwrap_or(0);
-            if max_ord == 0 {
-                continue;
+        let seen = &mut self.seen;
+        self.coal.flush(mask, &mut self.stats, |segs, ()| {
+            for &s in segs {
+                seen.insert(s);
             }
-            for warp_start in (0..n).step_by(warp) {
-                for k in 0..max_ord {
-                    self.segs.clear();
-                    #[allow(clippy::needless_range_loop)] // parallel indexing into mask + pends
-                    for i in warp_start..(warp_start + warp).min(n) {
-                        if !mask[i] {
-                            continue;
-                        }
-                        if let Some(addr) = pend[i].get(k) {
-                            self.segs.push(addr / SEGMENT_BYTES);
-                        }
-                    }
-                    if self.segs.is_empty() {
-                        continue;
-                    }
-                    self.segs.sort_unstable();
-                    self.segs.dedup();
-                    if kind == 0 {
-                        self.stats.load_transactions += self.segs.len() as u64;
-                    } else {
-                        self.stats.store_transactions += self.segs.len() as u64;
-                    }
-                    for s in &self.segs {
-                        self.seen.insert(*s);
-                    }
-                }
-            }
-        }
-        for p in &mut self.pend_loads {
-            p.clear();
-        }
-        for p in &mut self.pend_stores {
-            p.clear();
-        }
-        self.any_pend = false;
+        });
     }
 }

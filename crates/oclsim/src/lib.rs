@@ -40,13 +40,13 @@
 //! `lift-driver` kernel cache stores these, so tuning a variant across
 //! hundreds of configurations plans exactly once.
 //!
-//! **Determinism contract:** the plan engine and the original tree-walking
-//! interpreter (still available, `LIFT_SIM_ENGINE=tree` or
-//! [`runtime::SimEngine::Tree`]) produce byte-identical outputs,
-//! [`KernelStats`] and modeled times; they differ only in host-side speed.
-//! The differential suite (`tests/sim_differential.rs` at the workspace
-//! root) and a CI byte-diff of whole experiment sweeps hold the two
-//! engines in lock-step.
+//! **Oracles:** the executor has one implementation, so it is checked
+//! against independent references rather than a second copy of itself:
+//! outputs against the loop-nest golden references of `lift-stencils` and
+//! the `lift-core` evaluator, and [`KernelStats`] against the data-free
+//! cost replay ([`cost`], exact on every Table-1 kernel) and hand-counted
+//! kernels (`tests/cost_model.rs` and `tests/sim_differential.rs` at the
+//! workspace root).
 
 #![forbid(unsafe_code)]
 
@@ -63,7 +63,5 @@ pub use device::DeviceProfile;
 pub use exec::SimError;
 pub use perf::KernelStats;
 pub use plan::{Plan, PlannedKernel};
-pub use runtime::{
-    BufferData, IteratedOutput, LaunchConfig, Rotation, RunOutput, SimEngine, VirtualDevice,
-};
+pub use runtime::{BufferData, IteratedOutput, LaunchConfig, Rotation, RunOutput, VirtualDevice};
 pub use verify::{FindingKind, VerifyFinding};

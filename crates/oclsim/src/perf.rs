@@ -8,8 +8,8 @@ pub const SEGMENT_BYTES: u64 = 128;
 
 /// Events observed while executing a kernel on the virtual device.
 ///
-/// Equality is field-wise and exact — the differential tests compare the
-/// plan engine against the reference interpreter with `==`.
+/// Equality is field-wise and exact — the cost-model tests compare the
+/// replay's prediction against the executor's counts with `==`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelStats {
     /// Raw scalar loads from global memory.
@@ -142,8 +142,8 @@ impl KernelStats {
 
 /// The distinct 128-byte global segments a launch touched, as a bitmap
 /// over the launch's global address range (the segment-aligned buffers
-/// laid end to end). Shared by the plan executor, the tree interpreter
-/// and the cost model's replay; its [`len`](SegmentSet::len) becomes
+/// laid end to end). Shared by the plan executor and the cost model's
+/// replay; its [`len`](SegmentSet::len) becomes
 /// [`KernelStats::unique_segments`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SegmentSet {

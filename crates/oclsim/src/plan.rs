@@ -1,11 +1,10 @@
 //! Execution-plan compilation: lowering a [`Kernel`] AST into a flat,
 //! slot-resolved bytecode program.
 //!
-//! The tree-walking interpreter in [`crate::exec`] resolves every variable
-//! through a `HashMap`, clones the kernel body per work-group and re-walks
-//! `CStmt`/`CExpr` trees per work-item — fine for one launch, ruinous when
-//! the autotuner scores thousands of configurations. This module performs
-//! that resolution **once per kernel**:
+//! Walking the `CStmt`/`CExpr` trees per work-item, resolving every
+//! variable by name, is fine for one launch and ruinous when the autotuner
+//! scores thousands of configurations. This module performs that
+//! resolution **once per kernel**:
 //!
 //! * every scalar variable and buffer becomes a dense slot index (an
 //!   unresolvable variable is a *plan-compile* error, not a mid-simulation
@@ -31,12 +30,11 @@
 //!
 //! # Determinism contract
 //!
-//! For every kernel the plan path produces **byte-identical** outputs,
-//! [`KernelStats`] and modeled times to the tree interpreter: both engines
-//! execute the same statements over the same active lanes, count the same
-//! events, and differ only in how fast the host simulates them. The
-//! differential suite in `tests/sim_differential.rs` asserts this for
-//! every Table-1 benchmark × variant × device.
+//! A plan is a pure function of its kernel, and executing it is a pure
+//! function of (plan, inputs, launch, warp width): outputs, [`KernelStats`]
+//! and modeled times repeat bit for bit. `tests/sim_differential.rs` checks
+//! every Table-1 benchmark × variant × device against the golden
+//! references.
 //!
 //! [`KernelStats`]: crate::perf::KernelStats
 
@@ -106,8 +104,7 @@ pub(crate) enum EOp {
     /// Pop the `?:` select condition and split the active lanes into
     /// then/else sub-masks (charging one ALU op per active lane). The
     /// then-arm ops that follow run under the then-mask only, so the
-    /// select stays lazy per lane, exactly as the tree interpreter
-    /// evaluates it.
+    /// select stays lazy per lane, as C evaluates it.
     SelSplit,
     /// End of the then-arm: park its value, switch to the else-mask.
     SelSwap,
@@ -222,8 +219,7 @@ impl Plan {
     /// [`SimError::UnboundVariable`] for a variable or buffer no
     /// declaration binds, and [`SimError::TypeMismatch`] for operations
     /// whose operand kinds are statically known to be incompatible. Both
-    /// name the kernel and the offending statement — faults the tree
-    /// interpreter only hits mid-simulation.
+    /// name the kernel and the offending statement, before any lane runs.
     pub fn compile(kernel: &Kernel) -> Result<Plan, SimError> {
         let slots = kernel.slot_map();
         let marks = infer_marks(kernel, &slots);
@@ -287,7 +283,7 @@ impl Plan {
             b.global_slots
                 .insert(p.var.id(), (slot as u16, name, p.elem));
             global_bases.push(base);
-            // Segment-align each buffer, exactly as the interpreter does.
+            // Segment-align each buffer.
             base += ((p.len as u64 * 4).div_ceil(crate::perf::SEGMENT_BYTES))
                 * crate::perf::SEGMENT_BYTES;
         }
@@ -791,7 +787,7 @@ fn slab_kind(
 /// provable faults at plan time. `Unknown` for anything reaching through a
 /// scalar variable, whose runtime kind would need a flow-sensitive
 /// fixpoint to prove — the check stays deliberately conservative so no
-/// kernel the tree interpreter executes successfully is ever rejected.
+/// kernel that executes without a kind fault is ever rejected.
 /// Literals, work-item queries, typed-buffer loads, casts and
 /// user-function calls all have provable kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,51 +3,9 @@
 use lift_codegen::clike::{CType, Kernel};
 
 use crate::device::DeviceProfile;
-use crate::exec::{Machine, PlanMachine, SimError};
+use crate::exec::{PlanMachine, SimError};
 use crate::perf::KernelStats;
 use crate::plan::{Plan, PlannedKernel};
-
-/// Which executor drives a launch.
-///
-/// Both engines implement identical semantics — outputs, [`KernelStats`]
-/// and modeled times are byte-for-byte equal; they differ only in host-side
-/// speed. The default is [`SimEngine::Plan`]; set `LIFT_SIM_ENGINE=tree` to
-/// force the reference interpreter (CI uses this to byte-diff whole
-/// experiment sweeps across engines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimEngine {
-    /// The slot-resolved bytecode plan executed by the register-machine
-    /// inner loop (see [`crate::plan`]). Fast; the default.
-    Plan,
-    /// The original tree-walking interpreter, kept as the executable
-    /// reference semantics.
-    Tree,
-}
-
-impl SimEngine {
-    /// The engine selected by `LIFT_SIM_ENGINE`: `"tree"` forces the
-    /// reference interpreter, `"plan"` (or unset/empty) the bytecode plan
-    /// — case-insensitively.
-    ///
-    /// # Panics
-    ///
-    /// On any other value. A typo like `LIFT_SIM_ENGINE=Tree-engine`
-    /// silently selecting the plan would make the cross-engine byte-diffs
-    /// CI relies on compare the plan against itself and pass vacuously, so
-    /// a misconfigured switch fails loudly at the first launch instead.
-    pub fn from_env() -> SimEngine {
-        match std::env::var("LIFT_SIM_ENGINE") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "tree" => SimEngine::Tree,
-                "plan" | "" => SimEngine::Plan,
-                other => {
-                    panic!("unrecognised LIFT_SIM_ENGINE value `{other}`; use \"plan\" or \"tree\"")
-                }
-            },
-            Err(_) => SimEngine::Plan,
-        }
-    }
-}
 
 /// A host/device buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,7 +155,7 @@ pub struct RunOutput {
 /// The device is **immutable and freely shareable across threads**: the
 /// parallel tuner hands one `&VirtualDevice` to every worker evaluating a
 /// configuration. All mutable execution state (argument buffers, the
-/// work-item interpreter, per-run statistics) is created locally inside
+/// work-item executor, per-run statistics) is created locally inside
 /// each [`VirtualDevice::run`] call, so concurrent runs never observe each
 /// other.
 #[derive(Debug, Clone)]
@@ -229,11 +187,10 @@ impl VirtualDevice {
     }
 
     /// Executes `kernel` on `inputs` (one per non-output parameter, in
-    /// order) with the given launch configuration, using the engine
-    /// selected by `LIFT_SIM_ENGINE` (the bytecode plan by default).
+    /// order) with the given launch configuration.
     ///
     /// The output buffer is allocated zero-initialised by the runtime.
-    /// Under the plan engine the kernel is plan-compiled on every call; use
+    /// The kernel is plan-compiled on every call; use
     /// [`VirtualDevice::run_planned`] with a [`PlannedKernel`] to compile
     /// once and run many times (the tuning hot path does).
     ///
@@ -241,37 +198,16 @@ impl VirtualDevice {
     ///
     /// Fails on launch misconfiguration (sizes, local-memory overflow,
     /// argument mismatch) and on any runtime fault the executor detects
-    /// (out-of-bounds access, barrier divergence, division by zero).
+    /// (out-of-bounds access, barrier divergence, division by zero), and
+    /// with [`SimError::PlanCompile`] when plan compilation rejects the
+    /// kernel.
     pub fn run(
         &self,
         kernel: &Kernel,
         inputs: &[BufferData],
         cfg: LaunchConfig,
     ) -> Result<RunOutput, SimError> {
-        self.run_with_engine(kernel, inputs, cfg, SimEngine::from_env())
-    }
-
-    /// [`VirtualDevice::run`] on an explicitly-chosen engine (the
-    /// differential tests drive both and assert bit-identical results).
-    ///
-    /// # Errors
-    ///
-    /// As [`VirtualDevice::run`], plus plan-compilation faults under
-    /// [`SimEngine::Plan`].
-    pub fn run_with_engine(
-        &self,
-        kernel: &Kernel,
-        inputs: &[BufferData],
-        cfg: LaunchConfig,
-        engine: SimEngine,
-    ) -> Result<RunOutput, SimError> {
-        match engine {
-            SimEngine::Tree => self.run_inner(kernel, None, inputs, cfg),
-            SimEngine::Plan => {
-                let plan = Plan::compile(kernel)?;
-                self.run_inner(kernel, Some(&plan), inputs, cfg)
-            }
-        }
+        self.run_inner(kernel, &Plan::compile(kernel)?, inputs, cfg)
     }
 
     /// Executes a pre-planned kernel: the plan is compiled at most once for
@@ -288,21 +224,14 @@ impl VirtualDevice {
         inputs: &[BufferData],
         cfg: LaunchConfig,
     ) -> Result<RunOutput, SimError> {
-        match SimEngine::from_env() {
-            SimEngine::Tree => self.run_inner(kernel.kernel(), None, inputs, cfg),
-            SimEngine::Plan => {
-                let plan = kernel.plan()?;
-                self.run_inner(kernel.kernel(), Some(&plan), inputs, cfg)
-            }
-        }
+        self.run_inner(kernel.kernel(), &*kernel.plan()?, inputs, cfg)
     }
 
-    /// Validates the launch, binds buffers and drives one of the two
-    /// executors (`plan: None` selects the tree interpreter).
+    /// Validates the launch, binds buffers and drives the executor.
     fn run_inner(
         &self,
         kernel: &Kernel,
-        plan: Option<&Plan>,
+        plan: &Plan,
         inputs: &[BufferData],
         cfg: LaunchConfig,
     ) -> Result<RunOutput, SimError> {
@@ -345,18 +274,9 @@ impl VirtualDevice {
         }
 
         let warp = self.profile.warp_width as usize;
-        let stats = match plan {
-            Some(plan) => {
-                let mut machine = PlanMachine::new(plan, &mut buffers, cfg, warp);
-                machine.run()?;
-                machine.stats
-            }
-            None => {
-                let mut machine = Machine::new(kernel, &mut buffers, cfg, warp)?;
-                machine.run()?;
-                machine.stats
-            }
-        };
+        let mut machine = PlanMachine::new(plan, &mut buffers, cfg, warp);
+        machine.run()?;
+        let stats = machine.stats;
         let time_s = stats.model_time(&self.profile);
 
         let out_pos = kernel
@@ -413,11 +333,8 @@ impl VirtualDevice {
         rotation: Rotation,
     ) -> Result<IteratedOutput, SimError> {
         // Compile once, launch `steps` times.
-        let plan = match SimEngine::from_env() {
-            SimEngine::Plan => Some(Plan::compile(kernel)?),
-            SimEngine::Tree => None,
-        };
-        self.run_iterated_inner(kernel, plan.as_ref(), inputs, cfg, steps, rotation)
+        let plan = Plan::compile(kernel)?;
+        self.run_iterated_inner(kernel, &plan, inputs, cfg, steps, rotation)
     }
 
     /// [`VirtualDevice::run_iterated`] for a pre-planned kernel — the plan
@@ -435,24 +352,14 @@ impl VirtualDevice {
         steps: usize,
         rotation: Rotation,
     ) -> Result<IteratedOutput, SimError> {
-        let plan = match SimEngine::from_env() {
-            SimEngine::Plan => Some(kernel.plan()?),
-            SimEngine::Tree => None,
-        };
-        self.run_iterated_inner(
-            kernel.kernel(),
-            plan.as_deref(),
-            inputs,
-            cfg,
-            steps,
-            rotation,
-        )
+        let plan = kernel.plan()?;
+        self.run_iterated_inner(kernel.kernel(), &plan, inputs, cfg, steps, rotation)
     }
 
     fn run_iterated_inner(
         &self,
         kernel: &Kernel,
-        plan: Option<&Plan>,
+        plan: &Plan,
         inputs: &[BufferData],
         cfg: LaunchConfig,
         steps: usize,
@@ -601,7 +508,7 @@ mod tests {
     #[test]
     fn run_iterated_matches_the_ir_iterate_semantics() {
         // Host-side stepping must equal the `iterate` primitive evaluated
-        // by the reference interpreter.
+        // by the `lift-core` reference evaluator.
         let n = 16usize;
         let kernel = jacobi3pt_lowered(n as i64);
         let input: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).sin()).collect();

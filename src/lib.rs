@@ -13,7 +13,7 @@
 //! process-wide cache so serving the same stencil twice compiles once:
 //!
 //! ```
-//! use lift::{Pipeline, Budget};
+//! use lift::{Pipeline, TuneOptions};
 //! use lift::lift_oclsim::{DeviceProfile, VirtualDevice};
 //!
 //! # fn main() -> Result<(), lift::LiftError> {
@@ -21,7 +21,7 @@
 //! let stencil = Pipeline::for_benchmark("Jacobi2D5pt", &[18, 18])? // typed program
 //!     .explore()?                        // derive tiled/local/unrolled variants
 //!     .on(&device)                       // fix the execution target
-//!     .tune(Budget::evaluations(4))?;    // search, validate, compile the winner
+//!     .tune(TuneOptions::evaluations(4))?; // search, validate, compile the winner
 //! println!("{}", stencil.source());      // the generated OpenCL C
 //! # Ok(())
 //! # }
@@ -63,6 +63,6 @@ pub use lift_stencils;
 pub use lift_tuner;
 
 pub use lift_driver::{
-    BenchResult, Budget, CacheStats, CheckpointManager, CompiledStencil, CostModel, DeviceSession,
+    BenchResult, CacheStats, CheckpointManager, CompiledStencil, CostModel, DeviceSession,
     KernelCache, LiftError, Pipeline, TuneOptions, TuneOutcome, TunedVariant, VariantSet,
 };

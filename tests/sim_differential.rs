@@ -1,30 +1,43 @@
-//! Differential suite for the two simulator engines.
+//! Differential suite for the simulator against independent references.
 //!
-//! The bytecode-plan executor is only allowed to be *faster* than the
-//! tree-walking reference interpreter — never different. This suite runs
-//! every Table-1 benchmark × explored variant × device profile through
-//! both engines and asserts that the outputs, every [`KernelStats`]
-//! counter and the modeled time are **bit-identical** (`f64::to_bits` on
-//! times, structural equality everywhere else). It also pins the
-//! plan-compile error reporting contract (satellite of the plan work):
-//! unbound variables and provable type mismatches surface at plan-compile
-//! time with the kernel name and statement context.
+//! The bytecode-plan executor is the only executor, so it is checked
+//! against oracles that share none of its code: every Table-1 benchmark ×
+//! explored variant × device profile runs on the virtual device and its
+//! output must match the benchmark's loop-nest golden reference
+//! (`lift-stencils`), and the static verifier must agree with the run —
+//! a kernel the verifier proves clean must run without a fault, and a
+//! kernel that runs must prove clean. (`KernelStats` have their own
+//! oracles in `tests/cost_model.rs`: the data-free cost replay and
+//! hand-counted kernels.) The suite also pins the plan-compile error
+//! reporting contract: unbound variables and provable type mismatches
+//! surface at plan-compile time with the kernel name and statement
+//! context.
 
 use lift_codegen::clike::{AddressSpace, CExpr, CStmt, CType, Kernel, KernelParam, VarRef};
 use lift_driver::Pipeline;
-use lift_oclsim::{BufferData, DeviceProfile, Plan, Rotation, SimEngine, SimError, VirtualDevice};
+use lift_oclsim::{BufferData, DeviceProfile, Plan, Rotation, SimError, VirtualDevice};
 use lift_rewrite::Tunable;
 use lift_stencils::suite;
 
 /// Compact grid sizes per rank: big enough to exercise multi-group
 /// launches, boundary handling and non-square strides, small enough that
-/// the tree engine stays affordable across the whole matrix.
+/// the whole matrix stays quick.
 fn diff_sizes(dims: usize) -> Vec<usize> {
     match dims {
         1 => vec![128],
         2 => vec![48, 40],
         _ => vec![12, 16, 20],
     }
+}
+
+/// Relative tolerance against the golden references, as in
+/// `tests/full_pipeline.rs`: the generated kernels may sum neighbourhoods
+/// in a different order than the loop nests.
+fn close(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| (x - y).abs() <= 1e-4 * y.abs().max(1.0))
 }
 
 /// A valid configuration for a variant: the first usable candidate per
@@ -50,8 +63,10 @@ fn variant_config(tunables: &[Tunable], dims: usize) -> Option<Vec<(String, i64)
     Some(cfg)
 }
 
-/// Every Table-1 benchmark × variant × device: both engines agree
-/// bit-for-bit on outputs, stats and modeled times.
+/// Every Table-1 benchmark × variant × device: the simulated output
+/// matches the golden reference, and the verifier and the run agree.
+/// (The name predates the golden oracle; it is kept so the test keeps its
+/// identity across the suite's history.)
 #[test]
 fn every_benchmark_variant_device_is_bit_identical_across_engines() {
     let devices: Vec<VirtualDevice> = DeviceProfile::all()
@@ -66,11 +81,9 @@ fn every_benchmark_variant_device_is_bit_identical_across_engines() {
             .explore()
             .expect("explores");
         let names: Vec<String> = variants.names().iter().map(|s| s.to_string()).collect();
-        let inputs: Vec<BufferData> = bench
-            .gen_inputs(&sizes, 7)
-            .into_iter()
-            .map(BufferData::F32)
-            .collect();
+        let raw_inputs = bench.gen_inputs(&sizes, 7);
+        let golden = bench.golden(&raw_inputs, &sizes);
+        let inputs: Vec<BufferData> = raw_inputs.into_iter().map(BufferData::F32).collect();
         for dev in &devices {
             for name in &names {
                 let variant = variants.get(name).expect("listed variant");
@@ -86,51 +99,29 @@ fn every_benchmark_variant_device_is_bit_identical_across_engines() {
                     // limits); the sweep skips them, so do we.
                     Err(_) => continue,
                 };
-                let tree = dev.run_with_engine(
-                    compiled.kernel(),
-                    &inputs,
-                    compiled.launch(),
-                    SimEngine::Tree,
-                );
-                let plan = dev.run_with_engine(
-                    compiled.kernel(),
-                    &inputs,
-                    compiled.launch(),
-                    SimEngine::Plan,
-                );
                 let label = format!("{}/{name} on {}", bench.name, dev.profile().name);
-                match (tree, plan) {
-                    (Ok(t), Ok(p)) => {
+                let findings = compiled.verify().expect("verifier runs");
+                match dev.run(compiled.kernel(), &inputs, compiled.launch()) {
+                    Ok(out) => {
                         // Anything that runs clean must also *prove* clean:
                         // the static verifier may never cry wolf on an
                         // executed benchmark kernel.
-                        let findings = compiled.verify().expect("verifier runs");
                         assert!(
                             findings.is_empty(),
                             "verifier findings on executed kernel {label}: {findings:?}"
                         );
-                        assert_eq!(t.output, p.output, "outputs diverge for {label}");
-                        assert_eq!(t.stats, p.stats, "stats diverge for {label}");
-                        assert_eq!(
-                            t.time_s.to_bits(),
-                            p.time_s.to_bits(),
-                            "modeled times diverge for {label}: {} vs {}",
-                            t.time_s,
-                            p.time_s
+                        assert!(
+                            close(out.output.as_f32(), &golden),
+                            "output differs from the golden reference for {label}"
                         );
                         compared += 1;
                     }
-                    (Err(te), Err(pe)) => {
-                        // Same fault class either way; the plan engine may
-                        // report it from a different lane of the same
-                        // statement (op-major vs item-major evaluation).
-                        assert_eq!(
-                            std::mem::discriminant(&te),
-                            std::mem::discriminant(&pe),
-                            "fault classes diverge for {label}: {te} vs {pe}"
-                        );
-                    }
-                    (t, p) => panic!("one engine faulted for {label}: tree={t:?} plan={p:?}"),
+                    // And a kernel that proves clean must run: the verifier
+                    // covers every fault the executor can raise here.
+                    Err(e) => assert!(
+                        !findings.is_empty(),
+                        "{label} faulted ({e}) although the verifier found nothing"
+                    ),
                 }
             }
         }
@@ -141,7 +132,9 @@ fn every_benchmark_variant_device_is_bit_identical_across_engines() {
     );
 }
 
-/// Multi-step (host-rotated) execution agrees across engines too.
+/// Multi-step execution: `run_iterated` equals the golden reference
+/// applied step by step, and equals host-rotated single launches bit for
+/// bit. (Named before the golden oracle, like the matrix test above.)
 #[test]
 fn iterated_runs_are_bit_identical_across_engines() {
     let bench = suite()
@@ -149,46 +142,48 @@ fn iterated_runs_are_bit_identical_across_engines() {
         .find(|b| b.name == "Jacobi2D5pt")
         .expect("suite benchmark");
     let sizes = diff_sizes(2);
+    let dev = VirtualDevice::new(DeviceProfile::k20c());
     let compiled = Pipeline::from_benchmark(&bench, &sizes)
         .expect("pipeline")
         .explore()
         .expect("explores")
-        .on(&VirtualDevice::new(DeviceProfile::k20c()))
+        .on(&dev)
         .with_config("global", &[("lx", 8), ("ly", 4)])
         .expect("compiles");
-    let inputs: Vec<BufferData> = bench
-        .gen_inputs(&sizes, 11)
-        .into_iter()
-        .map(BufferData::F32)
-        .collect();
-    let dev = VirtualDevice::new(DeviceProfile::k20c());
-    let mut outs = Vec::new();
-    for engine in [SimEngine::Tree, SimEngine::Plan] {
-        // Drive the per-step engine explicitly through run_with_engine and
-        // rotate on the host, mirroring run_iterated's SingleBuffer policy.
-        let mut state = inputs.clone();
-        let mut total = 0.0f64;
-        for _ in 0..3 {
-            let out = dev
-                .run_with_engine(compiled.kernel(), &state, compiled.launch(), engine)
-                .expect("runs");
-            total += out.time_s;
-            state[0] = out.output.clone();
-        }
-        outs.push((state.swap_remove(0), total));
+    let raw_inputs = bench.gen_inputs(&sizes, 11);
+    let inputs: Vec<BufferData> = raw_inputs.iter().cloned().map(BufferData::F32).collect();
+    let steps = 3;
+
+    let it = compiled
+        .run_iterated(&inputs, steps, Rotation::SingleBuffer)
+        .expect("runs");
+    assert_eq!(it.steps, steps);
+
+    let mut golden = raw_inputs;
+    for _ in 0..steps {
+        golden[0] = bench.golden(&golden, &sizes);
     }
-    assert_eq!(outs[0].0, outs[1].0, "iterated outputs diverge");
-    assert_eq!(
-        outs[0].1.to_bits(),
-        outs[1].1.to_bits(),
-        "iterated modeled times diverge"
+    assert!(
+        close(it.output.as_f32(), &golden[0]),
+        "iterated output differs from {steps} golden steps"
     );
 
-    // And the public planned entry point matches the engine default.
-    let it = compiled
-        .run_iterated(&inputs, 3, Rotation::SingleBuffer)
-        .expect("runs");
-    assert_eq!(it.output, outs[1].0);
+    // Rotate on the host, mirroring run_iterated's SingleBuffer policy.
+    let mut state = inputs;
+    let mut total = 0.0f64;
+    for _ in 0..steps {
+        let out = dev
+            .run(compiled.kernel(), &state, compiled.launch())
+            .expect("runs");
+        total += out.time_s;
+        state[0] = out.output;
+    }
+    assert_eq!(it.output, state[0], "iterated output != host-rotated runs");
+    assert_eq!(
+        it.time_s.to_bits(),
+        total.to_bits(),
+        "iterated modeled time != host-rotated runs"
+    );
 }
 
 fn buf(name: &str, len: usize, is_output: bool) -> KernelParam {
